@@ -19,7 +19,6 @@ from .symmetry import (
     is_reducible,
     ring_candidates,
     theorem_verdict,
-    verify_reflection_structure,
 )
 from .spectra import (
     EigenSystem,
@@ -58,7 +57,7 @@ __all__ = [
     "validate_spec",
     "SymmetryOp", "Verdict", "build_combined", "build_reflection",
     "commutator_residual", "default_candidates", "is_reducible",
-    "ring_candidates", "theorem_verdict", "verify_reflection_structure",
+    "ring_candidates", "theorem_verdict",
     "EigenSystem", "SkinReport", "classify_states", "density_profile",
     "eigendecompose", "negation_distance", "pbc_spectrum", "skin_metrics",
     "spectral_winding",

@@ -40,7 +40,11 @@ class DimMismatch(ConfigError):
 
 
 class MalformedOperator(ConfigError):
-    """Candidate operator does not factor as internal x site permutation."""
+    """Candidate operator names an internal factor outside sx, sy, sz, id.
+
+    Every valid candidate is a signed permutation by construction, so the
+    internal label is the only part of its structure that can be wrong.
+    """
 
 
 # --- dense eigenproblems ------------------------------------------------

@@ -63,13 +63,22 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
+        """Inverse of `to_dict`; rejects non-objects, unknown keys and non-integer L."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"model config must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - set(ModelSpec().to_dict()))
+        if unknown:
+            raise ConfigError(f"unknown model keys: {', '.join(unknown)}")
+        L = d.get("L", 2)
+        if isinstance(L, bool) or (isinstance(L, float) and not L.is_integer()):
+            raise ConfigError(f"L must be an integer, got {L!r}")
         return ModelSpec(
             t=float(d.get("t", 1.0)),
             gamma=float(d.get("gamma", 0.0)),
             delta=float(d.get("delta", 0.0)),
             big_v=float(d.get("V", 0.0)),
             theta=float(d.get("theta", 0.0)),
-            num_sites=int(d.get("L", 2)),
+            num_sites=int(L),
             boundary=str(d.get("boundary", OBC)).lower(),
         )
 

@@ -35,6 +35,7 @@ from .errors import (
     ZeroVector,
 )
 from .model import ModelSpec, PBC, build_bdg, validate_spec
+from .symmetry import connected_components
 
 CLUSTER_TOL = 1e-10
 DEFAULT_EDGE_SITES = 10
@@ -85,26 +86,6 @@ class SkinReport:
     accumulation: float
     skin_detected: bool
     tau_skin: float
-
-
-def _connected_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    n = len(values)
-    adj = np.abs(values[:, None] - values[None, :]) < tol
-    comp = -np.ones(n, dtype=int)
-    nc = 0
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = nc
-        while stack:
-            k = stack.pop()
-            for m in np.nonzero(adj[k])[0]:
-                if comp[m] < 0:
-                    comp[m] = nc
-                    stack.append(m)
-        nc += 1
-    return [np.nonzero(comp == c)[0] for c in range(nc)]
 
 
 def eigendecompose(H: np.ndarray, num_sites: int | None = None,
@@ -165,7 +146,8 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
     else:
         pos = np.arange(1, N + 1, dtype=float)
 
-    for idx in _connected_clusters(w, cluster_tol):
+    near = np.abs(w[:, None] - w[None, :]) < cluster_tol
+    for idx in connected_components(near):
         if len(idx) == 1:
             i = idx[0]
             ov = left[i] @ right[:, i]

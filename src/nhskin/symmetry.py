@@ -15,6 +15,13 @@ asymmetric hopping.  On a periodic ring the reflection center is a free
 choice; `ring_candidates` enumerates the inequivalent centers, which is
 how a period-3 potential with a shifted registry is recognised as
 symmetric.
+
+Every candidate is a signed permutation of the 2L doubled indices:
+index k goes to sigma[k] with a coefficient in {+1, -1, +i, -i}.  A
+`SymmetryOp` holds only the fields that define it (internal factor,
+staggering, length, center); the commutator with H is two gathers of H,
+O(L^2), and the dense 2L x 2L matrix is built only on request, as a
+reference (`SymmetryOp.matrix`).
 """
 
 from __future__ import annotations
@@ -42,13 +49,46 @@ KIND_NO_CANDIDATES = "no_symmetry_found"
 
 @dataclass(frozen=True)
 class SymmetryOp:
-    """A combined-reflection candidate with its factorization metadata."""
+    """A combined-reflection candidate: internal 2x2 factor x signed site reflection.
 
-    matrix: np.ndarray
+    The operator is a signed permutation, defined by its fields alone;
+    `signed_permutation` returns the index map and its coefficients, and
+    `matrix` builds the dense 2L x 2L form on demand as a reference.
+    """
+
     internal_label: str
     spatial_signed: bool
     sites: int
     center: int | None = None  # None: open-chain mirror n -> L+1-n
+
+    def __post_init__(self) -> None:
+        if self.internal_label not in PAULI:
+            raise MalformedOperator(f"unknown internal factor {self.internal_label!r}")
+        if self.sites < 2:
+            raise NonPositiveSize(f"reflection needs L >= 2, got {self.sites}")
+
+    def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, coeff) with S[k, sigma[k]] = coeff[k] and zeros elsewhere.
+
+        Doubled index k = a L + i (component a, 0-based site i) goes to the
+        internal factor's image of a and the mirror image of i; coeff[k]
+        is the internal entry times the staggering sign (-1)^(i+1).
+        """
+        L = self.sites
+        P = PAULI[self.internal_label]
+        comp = np.abs(P).argmax(axis=1)
+        i = np.arange(L)
+        site = L - 1 - i if self.center is None else (self.center - i) % L
+        sign = (-1.0) ** (i + 1) if self.spatial_signed else np.ones(L)
+        sigma = (comp[:, None] * L + site).ravel()
+        coeff = (P[[0, 1], comp][:, None] * sign).ravel()
+        return sigma, coeff
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense reference form kron(internal factor, build_reflection(...))."""
+        return np.kron(PAULI[self.internal_label],
+                       build_reflection(self.sites, self.spatial_signed, self.center))
 
 
 @dataclass
@@ -93,17 +133,9 @@ def build_reflection(L: int, staggered: bool, center: int | None = None) -> np.n
 
 def build_combined(internal: str, L: int, staggered: bool,
                    center: int | None = None) -> SymmetryOp:
-    """Kronecker product internal (x) reflection, in the (a..., b...) order."""
-    if internal not in PAULI:
-        raise MalformedOperator(f"unknown internal factor {internal!r}")
-    R = build_reflection(L, staggered, center)
-    return SymmetryOp(
-        matrix=np.kron(PAULI[internal], R),
-        internal_label=internal,
-        spatial_signed=staggered,
-        sites=L,
-        center=center,
-    )
+    """The candidate internal (x) reflection, in the (a..., b...) order."""
+    return SymmetryOp(internal_label=internal, spatial_signed=staggered,
+                      sites=L, center=center)
 
 
 def default_candidates(L: int) -> list[SymmetryOp]:
@@ -127,17 +159,41 @@ def ring_candidates(L: int, internal: str = "sy") -> list[SymmetryOp]:
     return [build_combined(internal, L, True, center=c) for c in range(6)]
 
 
-def _as_matrix(S) -> np.ndarray:
-    return S.matrix if isinstance(S, SymmetryOp) else np.asarray(S)
+def commutator_residual(H: np.ndarray, S: SymmetryOp) -> float:
+    """|| HS - SH ||_F / max(||H||_F, floor); 0 means exact commutation.
 
-
-def commutator_residual(H: np.ndarray, S) -> float:
-    """|| HS - SH ||_F / max(||H||_F, floor); 0 means exact commutation."""
-    Sm = _as_matrix(S)
-    if H.shape != Sm.shape or H.shape[0] != H.shape[1]:
-        raise DimMismatch(f"shape mismatch: H {H.shape}, S {Sm.shape}")
-    num = np.linalg.norm(H @ Sm - Sm @ H)
+    Both products are gathers of H: (HS)[:, j] = H[:, inv[j]] coeff[inv[j]]
+    with inv the inverse of sigma, and (SH)[k, :] = coeff[k] H[sigma[k], :].
+    """
+    N = 2 * S.sites
+    if H.shape != (N, N):
+        raise DimMismatch(f"shape mismatch: H {H.shape}, S {(N, N)}")
+    sigma, coeff = S.signed_permutation()
+    inv = np.argsort(sigma)
+    num = np.linalg.norm(np.take(H, inv, axis=1) * coeff[inv]
+                         - coeff[:, None] * np.take(H, sigma, axis=0))
     return float(num / max(np.linalg.norm(H), 1e-300))
+
+
+def connected_components(adj: np.ndarray) -> list[np.ndarray]:
+    """Components of the undirected graph with symmetric boolean adjacency.
+
+    Each component is an ascending index array; the list is ordered by
+    smallest member.
+    """
+    comp = -np.ones(len(adj), dtype=int)
+    ncomp = 0
+    for start in range(len(adj)):
+        if comp[start] >= 0:
+            continue
+        stack = [start]
+        comp[start] = ncomp
+        while stack:
+            new = np.nonzero(adj[stack.pop()] & (comp < 0))[0]
+            comp[new] = ncomp
+            stack.extend(new)
+        ncomp += 1
+    return [np.nonzero(comp == c)[0] for c in range(ncomp)]
 
 
 def is_reducible(H: np.ndarray) -> tuple[bool, list[list[int]]]:
@@ -147,70 +203,10 @@ def is_reducible(H: np.ndarray) -> tuple[bool, list[list[int]]]:
     H[j, i] is nonzero (threshold 1e-14 relative to the largest entry)
     and returns whether it is disconnected, plus the components.
     """
-    N = H.shape[0]
-    thresh = 1e-14 * max(np.abs(H).max(), 1e-300)
-    adj = (np.abs(H) > thresh) | (np.abs(H).T > thresh)
-    comp = -np.ones(N, dtype=int)
-    ncomp = 0
-    for start in range(N):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = ncomp
-        while stack:
-            k = stack.pop()
-            for m in np.nonzero(adj[k])[0]:
-                if comp[m] < 0:
-                    comp[m] = ncomp
-                    stack.append(m)
-        ncomp += 1
-    components = [sorted(np.nonzero(comp == c)[0].tolist()) for c in range(ncomp)]
-    return ncomp > 1, components
-
-
-def _site_permutation(S: SymmetryOp) -> np.ndarray:
-    """Extract the site permutation of a factorizable operator.
-
-    Returns perm with perm[i] = image of site i.  Raises MalformedOperator
-    if the matrix is not (internal 2x2) x (signed site permutation).
-    """
-    M = S.matrix
-    L = S.sites
-    if M.shape != (2 * L, 2 * L):
-        raise DimMismatch(f"operator shape {M.shape} does not match sites {L}")
-    thresh = 1e-12 * max(np.abs(M).max(), 1e-300)
-    blocks = [M[:L, :L], M[:L, L:], M[L:, :L], M[L:, L:]]
-    support = None
-    for blk in blocks:
-        pat = np.abs(blk) > thresh
-        if not pat.any():
-            continue
-        if support is None:
-            support = pat
-        elif not np.array_equal(pat, support):
-            raise MalformedOperator("internal blocks have differing site supports")
-    if support is None:
-        raise MalformedOperator("operator is numerically zero")
-    if not (support.sum(axis=0) == 1).all() or not (support.sum(axis=1) == 1).all():
-        raise MalformedOperator("site factor is not a permutation")
-    return np.argmax(support, axis=1)
-
-
-def verify_reflection_structure(S: SymmetryOp) -> bool:
-    """True iff the site factor maps every site n to its mirror L+1-n.
-
-    This is the structural condition guaranteeing that a bulk state is
-    carried to its spatial reflection; it holds regardless of a center
-    shift only for the open-chain mirror, so a `center` candidate is
-    checked against its own ring mirror map.
-    """
-    perm = _site_permutation(S)
-    L = S.sites
-    if S.center is None:
-        target = L - 1 - np.arange(L)
-    else:
-        target = (S.center - np.arange(L)) % L
-    return bool(np.array_equal(perm, target))
+    A = np.abs(H)
+    nz = A > 1e-14 * max(A.max(), 1e-300)
+    components = [c.tolist() for c in connected_components(nz | nz.T)]
+    return len(components) > 1, components
 
 
 def theorem_verdict(H: np.ndarray, candidates: list[SymmetryOp],
@@ -219,10 +215,10 @@ def theorem_verdict(H: np.ndarray, candidates: list[SymmetryOp],
 
     Order of the gates: a permutation-reducible matrix is out of scope
     (the criterion presumes irreducibility); otherwise the first
-    candidate that commutes within `tol` and has genuine reflection
-    structure blocks the skin effect; otherwise skin localization is the
-    symmetry-based prediction, to be cross-checked against real-space
-    diagnostics.
+    candidate that commutes within `tol` blocks the skin effect (every
+    candidate maps each site to its mirror by construction); otherwise
+    skin localization is the symmetry-based prediction, to be
+    cross-checked against real-space diagnostics.
     """
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
@@ -235,7 +231,7 @@ def theorem_verdict(H: np.ndarray, candidates: list[SymmetryOp],
         r = commutator_residual(H, cand)
         if best is None or r < best:
             best, best_cand = r, cand
-        if r <= tol and verify_reflection_structure(cand):
+        if r <= tol:
             return Verdict(kind=KIND_BLOCKED, commutator_residual=r, candidate=cand)
     if not candidates:
         return Verdict(kind=KIND_NO_CANDIDATES)

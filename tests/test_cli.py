@@ -256,6 +256,31 @@ def test_malformed_config_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_list_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps([REFERENCE_CONFIG]))
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({**REFERENCE_CONFIG, "gama": 1.5}))
+    rc = main(["symmetry", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "gama" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verdict.json").exists()
+
+
+def test_non_integer_length_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "frac.json"
+    cfg.write_text(json.dumps({**REFERENCE_CONFIG, "L": 12.7}))
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "12.7" in capsys.readouterr().err
+
+
 def test_missing_config_io_exit_code(tmp_path):
     rc = main(["spectrum", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "o")])

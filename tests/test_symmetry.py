@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhskin import (
     ModelSpec,
@@ -12,7 +15,6 @@ from nhskin import (
     is_reducible,
     ring_candidates,
     theorem_verdict,
-    verify_reflection_structure,
 )
 from nhskin.errors import ConfigError, DimMismatch, MalformedOperator, NonPositiveSize
 from nhskin.symmetry import (
@@ -20,8 +22,6 @@ from nhskin.symmetry import (
     KIND_EXPECTED,
     KIND_NO_CANDIDATES,
     KIND_REDUCIBLE,
-    PAULI,
-    SymmetryOp,
 )
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
@@ -128,22 +128,48 @@ def test_reducibility_diagonal_matrix_is_singletons():
 
 
 def test_reflection_structure_accepts_mirror_candidates():
-    assert verify_reflection_structure(build_combined("sy", 10, True))
-    assert verify_reflection_structure(build_combined("sx", 10, False))
+    # every candidate's site map is the open-chain mirror, or its ring mirror
+    for S in default_candidates(10) + ring_candidates(12):
+        sigma, _ = S.signed_permutation()
+        i = np.arange(S.sites)
+        mirror = S.sites - 1 - i if S.center is None else (S.center - i) % S.sites
+        assert np.array_equal(sigma[:S.sites] % S.sites, mirror)
+        assert np.array_equal(sigma[S.sites:] % S.sites, mirror)
 
 
-def test_reflection_structure_rejects_identity_site_factor():
-    S = SymmetryOp(matrix=np.kron(PAULI["sy"], np.eye(6)),
-                   internal_label="sy", spatial_signed=False, sites=6)
-    assert not verify_reflection_structure(S)
-
-
-def test_reflection_structure_rejects_non_factorizable():
-    rng = np.random.default_rng(3)
-    S = SymmetryOp(matrix=rng.normal(size=(12, 12)) + 0j,
-                   internal_label="sy", spatial_signed=False, sites=6)
+def test_combined_rejects_unknown_internal_factor():
     with pytest.raises(MalformedOperator):
-        verify_reflection_structure(S)
+        build_combined("sw", 6, True)
+
+
+@pytest.mark.parametrize("L", [7, 12])
+def test_signed_permutation_matches_dense_matrix(L):
+    for S in default_candidates(L) + (ring_candidates(L) if L % 6 == 0 else []):
+        sigma, coeff = S.signed_permutation()
+        assert np.array_equal(np.sort(sigma), np.arange(2 * L))
+        dense = np.zeros((2 * L, 2 * L), dtype=complex)
+        dense[np.arange(2 * L), sigma] = coeff
+        assert np.array_equal(S.matrix, dense)
+        assert set(coeff.tolist()) <= {1, -1, 1j, -1j}
+
+
+def _points(L, boundary):
+    # blocked, broken and reducible points of the chain
+    base = ModelSpec(t=1.0, gamma=1.5, delta=0.5, big_v=2.0, num_sites=L,
+                     boundary=boundary)
+    return [base, base.replace(theta=np.pi / 4), base.replace(delta=0.0, theta=0.3)]
+
+
+@pytest.mark.parametrize("L,boundary", [(7, "obc"), (12, "obc"), (12, PBC), (18, PBC)])
+def test_commutator_matches_dense_reference_bit_for_bit(L, boundary):
+    cands = default_candidates(L)
+    if boundary == PBC:
+        cands += ring_candidates(L)
+    for H in (build_bdg(spec) for spec in _points(L, boundary)):
+        for S in cands:
+            M = S.matrix
+            dense = np.linalg.norm(H @ M - M @ H) / np.linalg.norm(H)
+            assert commutator_residual(H, S) == dense, (S, L, boundary)
 
 
 def test_verdict_reference_chain():
@@ -221,3 +247,23 @@ def test_verdict_never_blocked_for_reducible():
     H = build_bdg(REFERENCE.replace(delta=0.0, L=24))
     v = theorem_verdict(H, default_candidates(24))
     assert v.kind == KIND_REDUCIBLE
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(L=st.sampled_from([6, 12, 18]),
+       gamma=st.floats(-3.0, 3.0), delta=st.floats(-1.5, 1.5),
+       theta=st.floats(0.0, 2.0 * np.pi))
+def test_verdict_invariant_under_ring_translation(L, gamma, delta, theta):
+    # a one-site translation of the ring maps theta to theta + 2 pi/3 and
+    # permutes the six reflection centers, so the verdict cannot change
+    spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, big_v=2.0, theta=theta,
+                     num_sites=L, boundary=PBC)
+    cands = ring_candidates(L)
+    v1 = theorem_verdict(build_bdg(spec), cands)
+    v2 = theorem_verdict(build_bdg(spec.replace(theta=theta + 2.0 * np.pi / 3.0)), cands)
+    assert v1.kind == v2.kind
+    if v1.kind == KIND_EXPECTED:
+        # theta + 2 pi/3 is rounded to a double, which moves the residual
+        # by ~1e-15 absolute: relative agreement needs an absolute floor
+        assert math.isclose(v1.commutator_residual, v2.commutator_residual,
+                            rel_tol=1e-12, abs_tol=1e-13)
