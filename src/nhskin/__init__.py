@@ -29,7 +29,6 @@ from .spectra import (
     negation_distance,
     pbc_spectrum,
     skin_metrics,
-    spectral_winding,
 )
 from .nonbloch import (
     BetaQuartet,
@@ -60,7 +59,6 @@ __all__ = [
     "ring_candidates", "theorem_verdict",
     "EigenSystem", "SkinReport", "classify_states", "density_profile",
     "eigendecompose", "negation_distance", "pbc_spectrum", "skin_metrics",
-    "spectral_winding",
     "BetaQuartet", "ZakResult", "band_energies", "bloch_matrix",
     "char_poly_residual", "continuum_condition", "gbz_modulus_report",
     "solve_beta", "zak_phase",

@@ -17,12 +17,9 @@ the condition rows are, per root j (columns ordered 1+, 1-, 2-, 2+):
     D_j beta^L     : D_j = delta (E beta_j - 2 t) / denom_j
 
 and an open-chain energy E is characterized by the vanishing of the
-4x4 determinant.  This "direct" coefficient set is the package default.
-Two closed-form variants of the last rows circulate in tabulated form
-("tabulated", and "tabulated_noconst" without the constant term in the
-D row); both are kept behind a flag because neither reproduces the
-finite-chain spectrum - see the regression tests, which pin the measured
-determinant floors for all three variants at L = 6.
+4x4 determinant.  These rows come from substituting the amplitude ratio
+into the truncated end equations; the regression tests pin them against
+the finite-chain spectrum at L = 6.
 
 Determinants are reported relative to the largest term of the Leibniz
 expansion.  That ratio is invariant under any row or column rescaling,
@@ -38,7 +35,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import SingularDenominator, WrongCase
+from .errors import NumericalError, SingularDenominator, WrongCase
 from .model import ModelSpec, validate_spec
 from .nonbloch import (
     BetaQuartet,
@@ -49,9 +46,6 @@ from .nonbloch import (
 )
 
 COLUMN_ORDER = ("1+", "1-", "2-", "2+")
-
-VARIANTS = ("direct", "tabulated", "tabulated_noconst")
-DEFAULT_VARIANT = "direct"
 
 _DENOM_FLOOR = 1e-12
 
@@ -64,16 +58,13 @@ class BoundaryCoeffs:
     d: complex
 
 
-def boundary_coeffs(spec: ModelSpec, E: complex, q: BetaQuartet,
-                    variant: str = DEFAULT_VARIANT) -> dict[str, BoundaryCoeffs]:
+def boundary_coeffs(spec: ModelSpec, E: complex, q: BetaQuartet) -> dict[str, BoundaryCoeffs]:
     """End-condition coefficients per root label.
 
     Raises SingularDenominator when the amplitude-ratio denominator of
     some root is within 1e-12 (relative to the energy scale) of zero.
     """
     validate_spec(spec)
-    if variant not in VARIANTS:
-        raise WrongCase(f"unknown variant {variant!r}; choose from {VARIANTS}")
     t, g, d = spec.t, spec.gamma, spec.delta
     E = complex(E)
     scale = max(abs(E), abs(t), abs(g), abs(d), 1.0)
@@ -86,42 +77,32 @@ def boundary_coeffs(spec: ModelSpec, E: complex, q: BetaQuartet,
                 f"amplitude-ratio denominator ~ 0 for root {label} at E = {E}"
             )
         r = d * (b - bi) / denom
-        if variant == "direct":
-            A = E * b + (t + g / 2.0) * b * b + d * b * b * r
-            B = r * (E * b - (t - g / 2.0) * b * b) - d * b * b
-            C = E * b + (t - g / 2.0) - d * r
-            Dc = d * (E * b - 2.0 * t) / denom
-        else:
-            denom2 = E * bi - (t + g / 2.0) * bi * bi - (t - g / 2.0)
-            if abs(denom2) <= _DENOM_FLOOR * scale:
-                raise SingularDenominator(
-                    f"secondary denominator ~ 0 for root {label} at E = {E}"
-                )
-            A = E * b + (t + g / 2.0) * b * b + d * d * (b * b - 1.0) / denom2
-            B = d * (b - bi) * (E - (t - g / 2.0) * b * b) / denom - d * b * b
-            C = t - g / 2.0 + E * b - d * (b - bi) / denom
-            const = 1.0 if variant == "tabulated" else 0.0
-            Dc = (const - d * (t + g / 2.0) * (1.0 - bi * bi)) / denom
+        A = E * b + (t + g / 2.0) * b * b + d * b * b * r
+        B = r * (E * b - (t - g / 2.0) * b * b) - d * b * b
+        C = E * b + (t - g / 2.0) - d * r
+        Dc = d * (E * b - 2.0 * t) / denom
         out[label] = BoundaryCoeffs(a=complex(A), b=complex(B),
                                     c=complex(C), d=complex(Dc))
     return out
 
 
-def boundary_matrix(spec: ModelSpec, E: complex, L: int,
-                    variant: str = DEFAULT_VARIANT) -> np.ndarray:
+def boundary_matrix(spec: ModelSpec, E: complex, L: int) -> np.ndarray:
     """The 4x4 condition matrix with rows (A_j, B_j, C_j b^(L-1), D_j b^L)."""
     q = solve_beta(spec, E)
     if len(q.roots) < 4:
         raise SingularDenominator("degenerate quartic: no 4x4 condition matrix")
-    coeffs = boundary_coeffs(spec, E, q, variant)
+    coeffs = boundary_coeffs(spec, E, q)
     M = np.zeros((4, 4), dtype=complex)
     for col, label in enumerate(COLUMN_ORDER):
         b = q.roots[label]
         cf = coeffs[label]
         M[0, col] = cf.a
         M[1, col] = cf.b
-        M[2, col] = cf.c * b ** (L - 1)
-        M[3, col] = cf.d * b ** L
+        try:
+            M[2, col] = cf.c * b ** (L - 1)
+            M[3, col] = cf.d * b ** L
+        except OverflowError as exc:
+            raise NumericalError(f"beta^L overflows for root {label} at L = {L}") from exc
     return M
 
 
@@ -144,45 +125,22 @@ def _leibniz_terms(M: np.ndarray) -> list[complex]:
     return terms
 
 
-def boundary_determinant(spec: ModelSpec, E: complex, L: int,
-                         variant: str = DEFAULT_VARIANT) -> complex:
+def boundary_determinant(spec: ModelSpec, E: complex, L: int) -> complex:
     """Condition determinant normalized by its largest Leibniz term.
 
     Zero (to rounding) exactly at open-chain eigenvalues of length L;
-    O(1) away from them.  Rows are pre-scaled to unit max magnitude so
-    beta^L never overflows; the reported ratio is independent of that
-    scaling.
+    O(1) away from them.  Rows are pre-scaled to unit max magnitude, so
+    the product of four entries does not overflow; the reported ratio is
+    independent of that scaling.  Raises NumericalError when beta^L
+    itself leaves double range.
     """
-    M = _row_scaled(boundary_matrix(spec, E, L, variant))
+    M = _row_scaled(boundary_matrix(spec, E, L))
     terms = _leibniz_terms(M)
     biggest = max(abs(x) for x in terms)
     return complex(np.linalg.det(M) / max(biggest, 1e-300))
 
 
-def boundary_minor_terms(spec: ModelSpec, E: complex, L: int,
-                         variant: str = DEFAULT_VARIANT) -> list[complex]:
-    """The six complementary-minor products whose sum is the determinant.
-
-    Each term couples an (A, B) column pair with the complementary
-    (C, D) pair: sgn * (A_i B_j - A_j B_i)(C_k D_l b_l - C_l D_k b_k)
-    times the shared power (b_k b_l)^(L-1), evaluated on the row-scaled
-    matrix.  Off the spectrum with strongly split moduli a single term
-    carries the whole sum.
-    """
-    M = _row_scaled(boundary_matrix(spec, E, L, variant))
-    pairs = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)),
-             ((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))]
-    out = []
-    for (i, j), (k, l) in pairs:
-        sgn = (-1) ** (i + j + 1)
-        ab = M[0, i] * M[1, j] - M[0, j] * M[1, i]
-        cd = M[2, k] * M[3, l] - M[2, l] * M[3, k]
-        out.append(complex(sgn * ab * cd))
-    return out
-
-
-def continuum_ratio(spec: ModelSpec, E: complex, L: int,
-                    variant: str = DEFAULT_VARIANT) -> tuple[complex, complex]:
+def continuum_ratio(spec: ModelSpec, E: complex, L: int) -> tuple[complex, complex]:
     """Both sides of the two-leading-terms balance at a band energy.
 
     When the middle modulus pair is the '-' branch the relation reads
@@ -204,7 +162,7 @@ def continuum_ratio(spec: ModelSpec, E: complex, L: int,
         p, m = "-", "+"
     else:
         raise WrongCase(f"no continuum ordering at E = {E}")
-    cf = boundary_coeffs(spec, E, q, variant)
+    cf = boundary_coeffs(spec, E, q)
     b = q.roots
     A = {k: v.a for k, v in cf.items()}
     B = {k: v.b for k, v in cf.items()}

@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Subcommands: spectrum, profiles, symmetry, gbz, zak, sweep-theta,
-boundary.  Every command reads the model from a JSON config file
-(keys t, gamma, delta, V, theta, L, boundary) with individual flags
-taking precedence over file values, writes CSV/JSON into --out, and
-optionally emits a static SVG next to the CSV.  Output is deterministic:
-identical configuration produces byte-identical primary files.
+boundary.  Each is a function (spec, args) -> Output: one primary CSV or
+JSON file, plus a figure for all but symmetry and zak.  `main` does the
+rest for every command: it reads the model from a JSON config file (keys
+t, gamma, delta, V, theta, L, boundary; flags take precedence), writes
+the primary file into --out and, under --svg, <stem>.svg beside it,
+prints the primary path, and maps errors to exit codes.  Output is
+deterministic: identical configuration gives byte-identical files.
+Sizes are capped before any work starts (MAX_SITES for L and --L-check,
+MAX_GRID, MAX_STEPS, MAX_ENERGIES).
 
-Exit codes: 0 success, 1 configuration error, 2 numerical error, 3 I/O.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+error, 3 I/O.
 """
 
 from __future__ import annotations
@@ -17,39 +22,45 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import svgplot
-from .boundary import DEFAULT_VARIANT, VARIANTS, boundary_determinant, continuum_ratio
-from .errors import (
-    ConfigError,
-    NhskinError,
-    NumericalError,
-    SelectionOutOfRange,
-    UnsupportedPotential,
-    WrongCase,
-)
-from .model import ModelSpec, OBC, PBC, build_bdg, validate_spec
-from .nonbloch import band_energies, gbz_modulus_report, solve_beta, zak_phase
-from .spectra import (
-    DEFAULT_EDGE_SITES,
-    DEFAULT_EDGE_WEIGHT,
-    DEFAULT_TAU_SKIN,
-    classify_states,
-    density_profile,
-    eigendecompose,
-    skin_metrics,
-)
-from .symmetry import (
-    DEFAULT_TOL,
-    commutator_residual,
-    default_candidates,
-    ring_candidates,
-    theorem_verdict,
-)
+from .boundary import boundary_determinant, continuum_ratio
+from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalError,
+                     SelectionOutOfRange, UnsupportedPotential, WrongCase)
+from .model import MAX_SITES, ModelSpec, OBC, PBC, build_bdg, validate_spec
+from .nonbloch import band_energies, gbz_modulus_report, zak_phase
+from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
+                      classify_states, density_profile, eigendecompose, skin_metrics)
+from .symmetry import (DEFAULT_TOL, commutator_residual, default_candidates,
+                       ring_candidates, theorem_verdict)
 
 FMT = "%.17g"
+
+# Each cap is far above any size the commands are meant for, and far
+# below what would run for minutes or exhaust memory.
+MAX_GRID = 2 ** 20
+MAX_STEPS = 3600
+MAX_ENERGIES = 10 ** 5
+
+# Model flags shared by every command, with their value types.
+MODEL_FLAGS = {"t": float, "gamma": float, "delta": float, "V": float,
+               "theta": float, "L": int, "boundary": str}
+
+
+@dataclass
+class Output:
+    """A command's result: its primary file (CSV rows or a JSON payload)
+    and, for commands that draw one, a figure as a list of panels."""
+
+    name: str
+    header: list[str] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
+    payload: dict | None = None
+    figure: Callable[[], list] | None = None
 
 
 def _fmt(x) -> str:
@@ -85,23 +96,12 @@ def load_model(args) -> ModelSpec:
                 raise ConfigError(f"malformed config {args.config}: {exc}") from exc
     try:
         spec = ModelSpec.from_dict(raw)
-        overrides = {}
-        for flag, key in (("t", "t"), ("gamma", "gamma"), ("delta", "delta"),
-                          ("V", "V"), ("theta", "theta"), ("L", "L"),
-                          ("boundary", "boundary")):
-            v = getattr(args, flag, None)
-            if v is not None:
-                overrides[key] = v
+        overrides = {k: getattr(args, k) for k in MODEL_FLAGS if getattr(args, k) is not None}
         if overrides:
             spec = ModelSpec.from_dict({**spec.to_dict(), **overrides})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model value: {exc}") from exc
     return validate_spec(spec)
-
-
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 def resolve_ell(args, num_sites: int) -> int:
@@ -111,57 +111,50 @@ def resolve_ell(args, num_sites: int) -> int:
     return args.edge_sites
 
 
-# ---------------------------------------------------------------- spectrum
+def _scatter(rows, x: int, *panels):
+    """Figure callback: one panel per (title, xlabel, ylabel, y columns),
+    each scattering those columns of `rows` against column x."""
+    def figure():
+        grid = svgplot.panel_grid(len(panels), *zip(*(p[:3] for p in panels)))
+        for panel, (*_, ys) in zip(grid, panels):
+            for y in ys:
+                panel.scatter([r[x] for r in rows], [r[y] for r in rows])
+        return grid
+    return figure
 
-def cmd_spectrum(args) -> int:
-    spec = load_model(args)
-    out = _outdir(args)
+
+def _classified(spec: ModelSpec, args):
+    """Eigensystem and per-state records of the chain; a defective
+    cluster has no well-defined states, so per-state output refuses it."""
     es = eigendecompose(build_bdg(spec), num_sites=spec.num_sites)
-    records = classify_states(es, spec.num_sites,
-                              resolve_ell(args, spec.num_sites), args.w_edge)
+    if es.defective:
+        raise DegenerateAmbiguity(
+            f"{len(es.defective)} eigenvalues in defective clusters, "
+            f"first near {es.values[es.defective[0]]}")
+    return es, classify_states(es, spec.num_sites,
+                               resolve_ell(args, spec.num_sites), args.w_edge)
+
+
+def cmd_spectrum(spec: ModelSpec, args) -> Output:
+    es, records = _classified(spec, args)
     order = np.lexsort((es.values.imag, es.values.real))
     rows = []
     for rank, i in enumerate(order):
         rec = records[i]
         rows.append((rank, rec.energy.real, rec.energy.imag, rec.label,
                      rec.center_of_mass, rec.edge_weight, rec.participation_ratio))
-    path = os.path.join(out, "spectrum.csv")
-    write_csv(path, ["index", "re_E", "im_E", "class", "com", "edge_weight", "pr"], rows)
-    if args.svg:
-        panels = svgplot.panel_grid(
-            2, ["Re E per state", "Im E per state"],
-            ["state index", "state index"], ["Re E", "Im E"])
-        idx = [r[0] for r in rows]
-        panels[0].scatter(idx, [r[1] for r in rows])
-        panels[1].scatter(idx, [r[2] for r in rows])
-        svgplot.write_svg(os.path.join(out, "spectrum.svg"), panels)
-    print(path)
-    return 0
+    figure = _scatter(rows, 0, ("Re E per state", "state index", "Re E", [1]),
+                      ("Im E per state", "state index", "Im E", [2]))
+    return Output("spectrum.csv", ["index", "re_E", "im_E", "class", "com", "edge_weight",
+                                   "pr"], rows, figure=figure)
 
-
-# ---------------------------------------------------------------- profiles
 
 def parse_selection(selection: str, records) -> list[int]:
-    bulk = [r.index for r in records if r.label == "bulk"]
-    if selection.startswith("bulk:"):
-        k = int(selection.split(":", 1)[1])
-        if k < 1 or not bulk:
-            raise SelectionOutOfRange(f"cannot take {k} bulk states")
-        # quantiles of Re E among bulk-classified states
-        ordered = sorted(bulk, key=lambda i: (records[i].energy.real,
-                                              records[i].energy.imag))
-        if k >= len(ordered):
-            return ordered
-        picks = [ordered[int(round(q * (len(ordered) - 1)))]
-                 for q in np.linspace(0.1, 0.9, k)]
-        seen = []
-        for p in picks:
-            if p not in seen:
-                seen.append(p)
-        return seen
     if selection == "edge:all":
         return [r.index for r in records if r.label == "edge"]
     try:
+        if selection.startswith("bulk:"):
+            return _bulk_quantiles(records, int(selection[len("bulk:"):]))
         idx = [int(s) for s in selection.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise SelectionOutOfRange(f"bad selection {selection!r}") from exc
@@ -171,100 +164,71 @@ def parse_selection(selection: str, records) -> list[int]:
     return idx
 
 
-def cmd_profiles(args) -> int:
-    spec = load_model(args)
-    out = _outdir(args)
-    es = eigendecompose(build_bdg(spec), num_sites=spec.num_sites)
-    records = classify_states(es, spec.num_sites,
-                              resolve_ell(args, spec.num_sites), args.w_edge)
+def _bulk_quantiles(records, k: int) -> list[int]:
+    """k bulk-classified states at quantiles of Re E, without repeats."""
+    bulk = [r.index for r in records if r.label == "bulk"]
+    if k < 1 or not bulk:
+        raise SelectionOutOfRange(f"cannot take {k} bulk states")
+    ordered = sorted(bulk, key=lambda i: (records[i].energy.real,
+                                          records[i].energy.imag))
+    if k >= len(ordered):
+        return ordered
+    picks = [ordered[int(round(q * (len(ordered) - 1)))]
+             for q in np.linspace(0.1, 0.9, k)]
+    return list(dict.fromkeys(picks))
+
+
+def cmd_profiles(spec: ModelSpec, args) -> Output:
+    es, records = _classified(spec, args)
+    L = spec.num_sites
     chosen = parse_selection(args.selection, records)
-    rows = []
-    profs = []
-    for i in chosen:
-        prof = density_profile(es.right[:, i], spec.num_sites)
-        profs.append((i, prof))
-        for n in range(spec.num_sites):
-            rows.append((i, n + 1, prof.site_density[n]))
-    path = os.path.join(out, "profiles.csv")
-    write_csv(path, ["state_index", "site", "density"], rows)
-    if args.svg:
+    profs = [density_profile(es.right[:, i], L) for i in chosen]
+    rows = [(i, n + 1, prof.site_density[n])
+            for i, prof in zip(chosen, profs) for n in range(L)]
+
+    def figure():
         panels = svgplot.panel_grid(1, ["state densities"], ["site"], ["density"])
-        for i, prof in profs:
-            panels[0].line(range(1, spec.num_sites + 1), prof.site_density)
-        svgplot.write_svg(os.path.join(out, "profiles.svg"), panels)
-    print(path)
-    return 0
+        for prof in profs:
+            panels[0].line(range(1, L + 1), prof.site_density)
+        return panels
+    return Output("profiles.csv", ["state_index", "site", "density"], rows,
+                  figure=figure)
 
 
-# ---------------------------------------------------------------- symmetry
-
-def cmd_symmetry(args) -> int:
-    spec = load_model(args)
-    out = _outdir(args)
-    H = build_bdg(spec)
-    verdict = theorem_verdict(H, default_candidates(spec.num_sites), args.tol)
-    path = os.path.join(out, "verdict.json")
-    write_json(path, verdict.to_dict())
-    print(path)
-    return 0
+def cmd_symmetry(spec: ModelSpec, args) -> Output:
+    verdict = theorem_verdict(build_bdg(spec), default_candidates(spec.num_sites),
+                              args.tol)
+    return Output("verdict.json", payload=verdict.to_dict())
 
 
-# ---------------------------------------------------------------- gbz
-
-def cmd_gbz(args) -> int:
-    spec = load_model(args)
+def cmd_gbz(spec: ModelSpec, args) -> Output:
     if spec.big_v != 0.0:
         raise UnsupportedPotential("gbz requires V = 0")
-    out = _outdir(args)
     # bulk band energies, deterministically sampled by Re-E quantiles
-    num_k = max(args.num_energies, 8)
-    cand = band_energies(spec, num_k)
-    order = np.lexsort((cand.imag, cand.real))
-    cand = cand[order]
+    cand = band_energies(spec, max(args.num_energies, 8))
+    cand = cand[np.lexsort((cand.imag, cand.real))]
     picks = np.unique(np.round(np.linspace(0, len(cand) - 1, args.num_energies)).astype(int))
-    energies = cand[picks]
     rows = []
-    for rep in gbz_modulus_report(spec, energies):
+    for rep in gbz_modulus_report(spec, cand[picks]):
         m = rep["moduli"]
         rows.append((rep["energy"].real, rep["energy"].imag,
                      m[0], m[1], m[2], m[3], rep["case"], rep["mid_gap"]))
-    path = os.path.join(out, "gbz.csv")
-    write_csv(path, ["re_E", "im_E", "m1", "m2", "m3", "m4", "case", "mid_gap"], rows)
-    if args.svg:
-        panels = svgplot.panel_grid(1, ["decay-factor moduli"], ["Re E"], ["|beta|"])
-        res = [r[0] for r in rows]
-        for col in (2, 3, 4, 5):
-            panels[0].scatter(res, [r[col] for r in rows])
-        svgplot.write_svg(os.path.join(out, "gbz.svg"), panels)
-    print(path)
-    return 0
+    return Output("gbz.csv", ["re_E", "im_E", "m1", "m2", "m3", "m4", "case", "mid_gap"], rows,
+                  figure=_scatter(rows, 0, ("decay-factor moduli", "Re E", "|beta|", [2, 3, 4, 5])))
 
 
-# ---------------------------------------------------------------- zak
-
-def cmd_zak(args) -> int:
-    spec = load_model(args)
-    out = _outdir(args)
+def cmd_zak(spec: ModelSpec, args) -> Output:
     res = zak_phase(spec, band=args.band, grid=args.grid)
-    path = os.path.join(out, "zak.json")
-    write_json(path, {"band": res.band, "phase": res.phase,
-                      "grid": res.grid_points, "residual": res.residual})
-    print(path)
-    return 0
+    return Output("zak.json", payload={"band": res.band, "phase": res.phase,
+                                       "grid": res.grid_points, "residual": res.residual})
 
-
-# ---------------------------------------------------------------- sweep
 
 def ring_length(L: int) -> int:
     """Nearest ring length supporting all six reflection centers."""
     return max(6, 6 * int(round(L / 6)))
 
 
-def cmd_sweep_theta(args) -> int:
-    spec = load_model(args)
-    if args.steps < 6:
-        raise ConfigError(f"steps must be >= 6, got {args.steps}")
-    out = _outdir(args)
+def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     L_ring = ring_length(spec.num_sites)
     candidates = ring_candidates(L_ring)
     rows = []
@@ -284,140 +248,125 @@ def cmd_sweep_theta(args) -> int:
             residual = min(commutator_residual(H_ring, c) for c in candidates)
         rows.append((s, theta, residual, verdict.kind, report.skew,
                      report.accumulation, report.skin_detected))
-    path = os.path.join(out, "sweep.csv")
-    write_csv(path, ["step", "theta", "residual", "verdict", "skew",
-                     "accumulation", "skin_detected"], rows)
-    if args.svg:
-        panels = svgplot.panel_grid(
-            2, ["commutator residual", "bulk accumulation"],
-            ["theta", "theta"], ["residual", "accumulation"])
-        th = [r[1] for r in rows]
-        panels[0].scatter(th, [max(r[2], 1e-18) for r in rows])
-        panels[1].scatter(th, [r[5] for r in rows])
-        svgplot.write_svg(os.path.join(out, "sweep.svg"), panels)
-    print(path)
-    return 0
+    plotted = [(r[1], max(r[2], 1e-18), r[5]) for r in rows]
+    figure = _scatter(plotted, 0, ("commutator residual", "theta", "residual", [1]),
+                      ("bulk accumulation", "theta", "accumulation", [2]))
+    return Output("sweep.csv", ["step", "theta", "residual", "verdict", "skew",
+                                "accumulation", "skin_detected"], rows, figure=figure)
 
 
-# ---------------------------------------------------------------- boundary
-
-def cmd_boundary(args) -> int:
-    spec = load_model(args)
+def cmd_boundary(spec: ModelSpec, args) -> Output:
     if spec.big_v != 0.0:
         raise UnsupportedPotential("boundary requires V = 0")
-    out = _outdir(args)
     L = args.L_check
     chain = spec.replace(L=L, boundary=OBC)
     evals = np.linalg.eigvals(build_bdg(chain))
-    order = np.lexsort((evals.imag, evals.real))
     rows = []
-    for E in evals[order]:
+    for E in evals[np.lexsort((evals.imag, evals.real))]:
         E = complex(E)
-        det = boundary_determinant(chain, E, L, args.variant)
+        det = boundary_determinant(chain, E, L)
         try:
-            lhs, rhs = continuum_ratio(chain, E, L, args.variant)
+            lhs, rhs = continuum_ratio(chain, E, L)
             lhs_abs, rhs_abs = abs(lhs), abs(rhs)
         except (WrongCase, NumericalError):
             lhs_abs, rhs_abs = float("nan"), float("nan")
         rows.append((E.real, E.imag, L, abs(det), lhs_abs, rhs_abs))
-    path = os.path.join(out, "boundary.csv")
-    write_csv(path, ["re_E", "im_E", "L", "norm_det", "lhs_abs", "rhs_abs"], rows)
-    if args.svg:
-        panels = svgplot.panel_grid(1, ["determinant at eigenvalues"],
-                                    ["Re E"], ["normalized |det|"])
-        panels[0].scatter([r[0] for r in rows], [r[3] for r in rows])
-        svgplot.write_svg(os.path.join(out, "boundary.svg"), panels)
-    print(path)
-    return 0
+    return Output("boundary.csv", ["re_E", "im_E", "L", "norm_det", "lhs_abs", "rhs_abs"], rows,
+                  figure=_scatter(rows, 0, ("determinant at eigenvalues", "Re E",
+                                            "normalized |det|", [3])))
 
 
-# ---------------------------------------------------------------- parser
+def _int_in(lo: int, hi: int):
+    """argparse type for an integer in [lo, hi]."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = lo - 1
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"expected an integer in [{lo}, {hi}], got {text!r}")
+        return n
+    return parse
+
+
+SVG = (("--svg", {"action": "store_true", "help": "also write <stem>.svg"}),)
+TOL = (("--tol", {"type": float, "default": DEFAULT_TOL}),)
+THRESHOLDS = (
+    ("--edge-sites", {"type": int, "default": None,
+                      "help": "edge window (default min(10, L//2))"}),
+    ("--w-edge", {"type": float, "default": DEFAULT_EDGE_WEIGHT}),
+    ("--tau-skin", {"type": float, "default": DEFAULT_TAU_SKIN}),
+)
+
+# (name, function, help, flags beyond --config, --out and the model flags)
+COMMANDS = (
+    ("spectrum", cmd_spectrum, "full spectrum with state classification",
+     SVG + THRESHOLDS),
+    ("profiles", cmd_profiles, "site densities of selected states",
+     SVG + THRESHOLDS + (("--selection", {
+         "default": "bulk:4", "help": "bulk:k | edge:all | comma-separated indices"}),)),
+    ("symmetry", cmd_symmetry, "combined-reflection verdict", TOL),
+    ("gbz", cmd_gbz, "decay-factor moduli on the bulk bands",
+     SVG + (("--num-energies", {"type": _int_in(1, MAX_ENERGIES), "default": 50}),)),
+    ("zak", cmd_zak, "band geometric phase around the unit circle",
+     (("--band", {"choices": ["plus", "minus"], "default": "plus"}),
+      ("--grid", {"type": _int_in(64, MAX_GRID), "default": 4096}))),
+    ("sweep-theta", cmd_sweep_theta, "potential-phase sweep: symmetry vs skin",
+     SVG + THRESHOLDS + TOL + (("--steps", {"type": _int_in(6, MAX_STEPS), "default": 24}),)),
+    ("boundary", cmd_boundary, "finite-chain determinant oracle",
+     SVG + (("--L-check", {"type": _int_in(2, MAX_SITES), "default": 6}),)),
+)
+
+
+# First match wins: the error label printed to stderr and the exit code.
+EXIT_CODES = ((ConfigError, "config error", 1), (NumericalError, "numerical error", 2),
+              (NhskinError, "error", 2), (OSError, "io error", 3))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1); argparse would exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="nhskin",
-        description="skin-effect symmetry diagnostics for 1D chains",
-    )
+    ap = _Parser(prog="nhskin",
+                 description="skin-effect symmetry diagnostics for 1D chains")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, help_text, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON model config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--svg", action="store_true", help="also write an SVG figure")
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--V", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--L", type=int, default=None)
-        p.add_argument("--boundary", choices=[OBC, PBC], default=None)
-
-    def thresholds(p):
-        p.add_argument("--edge-sites", dest="edge_sites", type=int,
-                       default=None,
-                       help="edge window (default min(10, L//2))")
-        p.add_argument("--w-edge", dest="w_edge", type=float,
-                       default=DEFAULT_EDGE_WEIGHT)
-        p.add_argument("--tau-skin", dest="tau_skin", type=float,
-                       default=DEFAULT_TAU_SKIN)
-
-    p = sub.add_parser("spectrum", help="full spectrum with state classification")
-    common(p); thresholds(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("profiles", help="site densities of selected states")
-    common(p); thresholds(p)
-    p.add_argument("--selection", default="bulk:4",
-                   help="bulk:k | edge:all | comma-separated indices")
-    p.set_defaults(func=cmd_profiles)
-
-    p = sub.add_parser("symmetry", help="combined-reflection verdict")
-    common(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_symmetry)
-
-    p = sub.add_parser("gbz", help="decay-factor moduli on the bulk bands")
-    common(p)
-    p.add_argument("--num-energies", dest="num_energies", type=int, default=50)
-    p.set_defaults(func=cmd_gbz)
-
-    p = sub.add_parser("zak", help="band geometric phase around the unit circle")
-    common(p)
-    p.add_argument("--band", choices=["plus", "minus"], default="plus")
-    p.add_argument("--grid", type=int, default=4096)
-    p.set_defaults(func=cmd_zak)
-
-    p = sub.add_parser("sweep-theta", help="potential-phase sweep: symmetry vs skin")
-    common(p); thresholds(p)
-    p.add_argument("--steps", type=int, default=24)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_sweep_theta)
-
-    p = sub.add_parser("boundary", help="finite-chain determinant oracle")
-    common(p)
-    p.add_argument("--L-check", dest="L_check", type=int, default=6)
-    p.add_argument("--variant", choices=list(VARIANTS), default=DEFAULT_VARIANT)
-    p.set_defaults(func=cmd_boundary)
-
+        for key, kind in MODEL_FLAGS.items():
+            p.add_argument(f"--{key}", type=kind,
+                           choices=[OBC, PBC] if key == "boundary" else None)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
-    except NhskinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
+        args = build_parser().parse_args(argv)
+        result = args.func(load_model(args), args)
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, result.name)
+        if result.payload is None:
+            write_csv(path, result.header, result.rows)
+        else:
+            write_json(path, result.payload)
+        if getattr(args, "svg", False):
+            svgplot.write_svg(os.path.splitext(path)[0] + ".svg", result.figure())
+        print(path)
+        return 0
+    except (NhskinError, OSError) as exc:
+        label, code = next((label, code) for kind, label, code in EXIT_CODES
+                           if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -65,10 +65,6 @@ class NoBulkStates(NumericalError):
     """Every state was excluded from the bulk set; skew is undefined."""
 
 
-class RefOnCurve(ConfigError):
-    """Winding reference energy lies on the spectral curve."""
-
-
 # --- non-Bloch machinery ------------------------------------------------
 
 class ZeroBeta(ConfigError):

@@ -32,6 +32,9 @@ from .errors import ConfigError, NonFinite, NonPositiveSize, PbcPeriodMismatch
 OBC = "obc"
 PBC = "pbc"
 
+# Largest chain: a dense 2L x 2L eigensolve at this size takes minutes.
+MAX_SITES = 2048
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -87,9 +90,9 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     """Check the model invariants and return the spec unchanged.
 
     Raises NonFinite for NaN/Inf parameters, NonPositiveSize for chains
-    shorter than two sites, and PbcPeriodMismatch when a periodic ring
-    with V != 0 has a length that is not a multiple of 3 (the potential
-    period).
+    shorter than two sites, ConfigError for chains longer than MAX_SITES,
+    and PbcPeriodMismatch when a periodic ring with V != 0 has a length
+    that is not a multiple of 3 (the potential period).
     """
     for name in ("t", "gamma", "delta", "big_v", "theta"):
         x = getattr(spec, name)
@@ -97,6 +100,8 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
             raise NonFinite(f"parameter {name} is not finite: {x!r}")
     if spec.num_sites < 2:
         raise NonPositiveSize(f"num_sites must be >= 2, got {spec.num_sites}")
+    if spec.num_sites > MAX_SITES:
+        raise ConfigError(f"num_sites must be <= {MAX_SITES}, got {spec.num_sites}")
     if spec.boundary not in (OBC, PBC):
         raise ConfigError(f"boundary must be 'obc' or 'pbc', got {spec.boundary!r}")
     if spec.boundary == PBC and spec.big_v != 0.0 and spec.num_sites % 3 != 0:

@@ -21,7 +21,7 @@ signed mean cancels to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
     DegenerateAmbiguity,
     DimMismatch,
     NoBulkStates,
-    RefOnCurve,
     ZeroVector,
 )
 from .model import ModelSpec, PBC, build_bdg, validate_spec
@@ -46,12 +45,18 @@ ZERO_MODE_RTOL = 1e-8
 
 @dataclass
 class EigenSystem:
-    """Eigenvalues with matched right (columns) and left (rows) vectors."""
+    """Eigenvalues with matched right (columns) and left (rows) vectors.
+
+    `defective` lists the indices of degenerate clusters whose left/right
+    overlap block is numerically singular (an exceptional point).  Their
+    vectors are left as the solver returned them, unpaired.
+    """
 
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
     pairing_residual: float
+    defective: list[int] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -105,10 +110,10 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
     ------
     ConvergenceFailure : solver failure, or a left/right pair whose
         overlap underflowed to zero.
-    DegenerateAmbiguity : a degenerate cluster whose left/right overlap
-        block is numerically singular (defective matrix); pairing inside
-        such a cluster has no meaningful resolution and is reported
-        rather than guessed.
+    DegenerateAmbiguity : a healthy degenerate cluster that the position
+        observable cannot split.
+
+    A defective cluster is not paired; see `EigenSystem.defective`.
     """
     N = H.shape[0]
     if H.shape[0] != H.shape[1]:
@@ -146,6 +151,7 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
     else:
         pos = np.arange(1, N + 1, dtype=float)
 
+    defective = []
     near = np.abs(w[:, None] - w[None, :]) < cluster_tol
     for idx in connected_components(near):
         if len(idx) == 1:
@@ -163,9 +169,8 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
         # the solver returns unit-norm vectors, so a healthy cluster has an
         # O(1) left/right overlap block; a defective one collapses it
         if not np.isfinite(M).all() or np.linalg.svd(M, compute_uv=False)[-1] < 1e-8:
-            raise DegenerateAmbiguity(
-                f"defective cluster of {len(idx)} eigenvalues near {w[idx[0]]}"
-            )
+            defective.extend(idx.tolist())
+            continue
         Lc = np.linalg.solve(M, Wc)
         # canonical basis inside the cluster: diagonalize the position
         # observable, then order members left to right along the chain
@@ -187,7 +192,7 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
         left[idx, :] = Lc
 
     return EigenSystem(values=w, right=right, left=left,
-                       pairing_residual=pairing_residual)
+                       pairing_residual=pairing_residual, defective=defective)
 
 
 def density_profile(state: np.ndarray, num_sites: int) -> DensityProfile:
@@ -220,6 +225,8 @@ def classify_states(es: EigenSystem, num_sites: int,
     """Label each state "edge" when its outer-ell-site weight exceeds w_edge."""
     if not (1 <= ell <= num_sites // 2):
         raise ConfigError(f"ell must lie in [1, L/2], got {ell}")
+    if not (0.0 <= w_edge <= 1.0):
+        raise ConfigError(f"w_edge must lie in [0, 1], got {w_edge}")
     out = []
     for i in range(es.dim):
         prof = density_profile(es.right[:, i], num_sites)
@@ -283,21 +290,6 @@ def pbc_spectrum(spec: ModelSpec) -> np.ndarray:
     vals = np.linalg.eigvals(build_bdg(spec))
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
-
-
-def spectral_winding(curve: np.ndarray, e_ref: complex) -> int:
-    """Integer winding of a closed spectral curve around a reference energy.
-
-    The first point is appended to close the loop; the winding is the
-    accumulated argument increment of (E - e_ref) divided by 2 pi.
-    """
-    z = np.asarray(curve, dtype=complex) - complex(e_ref)
-    if np.abs(z).min() <= 1e-9:
-        raise RefOnCurve("reference energy lies on the curve")
-    zc = np.append(z, z[0])
-    incr = np.angle(zc[1:] / zc[:-1])
-    total = incr.sum() / (2.0 * np.pi)
-    return int(np.round(total))
 
 
 def set_distance(a: np.ndarray, b: np.ndarray) -> float:

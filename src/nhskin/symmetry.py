@@ -220,7 +220,7 @@ def theorem_verdict(H: np.ndarray, candidates: list[SymmetryOp],
     skin localization is the symmetry-based prediction, to be
     cross-checked against real-space diagnostics.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
     reducible, components = is_reducible(H)
     if reducible:

@@ -172,7 +172,7 @@ def test_criterion_08_spectral_negation():
 def test_criterion_09_boundary_determinant_oracle():
     chain = REFERENCE.replace(L=6)
     evals = [complex(E) for E in np.linalg.eigvals(build_bdg(chain))]
-    on_direct = max(abs(boundary_determinant(chain, E, 6)) for E in evals)
+    on_spectrum = max(abs(boundary_determinant(chain, E, 6)) for E in evals)
     rng = np.random.default_rng(42)
     ev = np.array(evals)
     off_vals = []
@@ -180,16 +180,9 @@ def test_criterion_09_boundary_determinant_oracle():
         E = complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
         if np.abs(ev - E).min() >= 0.25:
             off_vals.append(abs(boundary_determinant(chain, E, 6)))
-    on_tab = max(abs(boundary_determinant(chain, E, 6, "tabulated"))
-                 for E in evals)
-    on_tab_nc = max(abs(boundary_determinant(chain, E, 6, "tabulated_noconst"))
-                    for E in evals)
-    ok = on_direct <= 1e-8 and min(off_vals) >= 1e-3
-    print("ACCEPTANCE 09 variant decision: 'direct' passes the L=6 oracle "
-          f"(max {on_direct:.2e}); 'tabulated' fails (max {on_tab:.2e}); "
-          f"'tabulated_noconst' fails (max {on_tab_nc:.2e})")
+    ok = on_spectrum <= 1e-8 and min(off_vals) >= 1e-3
     report(9, "boundary determinant oracle", ok,
-           f"on<= {on_direct:.2e} off>= {min(off_vals):.2e}")
+           f"on<= {on_spectrum:.2e} off>= {min(off_vals):.2e}")
 
 
 def test_criterion_10_continuum_ratio_modulus():

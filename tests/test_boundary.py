@@ -11,7 +11,7 @@ from nhskin import (
     continuum_ratio,
     solve_beta,
 )
-from nhskin.boundary import BoundaryCoeffs, boundary_minor_terms
+from nhskin.boundary import BoundaryCoeffs
 from nhskin.errors import SingularDenominator, WrongCase
 from nhskin.nonbloch import BetaQuartet, CASE_NEITHER
 
@@ -43,17 +43,6 @@ def test_determinant_vanishes_on_spectrum(six_site_eigenvalues):
 def test_determinant_large_off_spectrum(six_site_eigenvalues):
     for E in off_spectrum_draws(six_site_eigenvalues):
         assert abs(boundary_determinant(COUPLINGS, E, 6)) >= 1e-3
-
-
-def test_tabulated_variants_fail_the_oracle(six_site_eigenvalues):
-    # recorded decision: neither tabulated closed form reproduces the
-    # finite-chain spectrum; the direct substitution is the default.
-    # Measured on-spectrum maxima at L = 6 with the max-term-normalized
-    # determinant: tabulated ~ 2.3, tabulated_noconst ~ 2.0, direct ~ 2e-14.
-    for variant in ("tabulated", "tabulated_noconst"):
-        worst = max(abs(boundary_determinant(COUPLINGS, E, 6, variant))
-                    for E in six_site_eigenvalues)
-        assert worst > 1e-2, f"{variant} unexpectedly passes the oracle"
 
 
 def test_determinant_chain_length_mismatch(six_site_eigenvalues):
@@ -110,7 +99,7 @@ def test_coefficients_frozen_regression():
     spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=40)
     E = 0.8 + 0.3j
     q = solve_beta(spec, E)
-    cf = boundary_coeffs(spec, E, q, "direct")
+    cf = boundary_coeffs(spec, E, q)
     want = {
         "1+": BoundaryCoeffs(
             a=(-0.12284372490179211 - 0.03825422942379307j),
@@ -149,25 +138,6 @@ def test_singular_denominator_reported():
                        continuum_case=CASE_NEITHER, mid_modulus_gap=1.5)
     with pytest.raises(SingularDenominator):
         boundary_coeffs(spec, E, fake)
-
-
-def test_minor_terms_sum_to_determinant(six_site_eigenvalues):
-    E = six_site_eigenvalues[1] + 0.3
-    from nhskin.boundary import _row_scaled
-    M = _row_scaled(boundary_matrix(COUPLINGS, E, 6))
-    terms = boundary_minor_terms(COUPLINGS, E, 6)
-    det = np.linalg.det(M)
-    assert abs(sum(terms) - det) <= 1e-9 * max(abs(det), 1e-12)
-
-
-def test_single_minor_dominates_for_split_moduli():
-    # far enough off the band curve the largest complementary-minor term
-    # carries the whole determinant at L = 60
-    for E in (0.5 + 0.5j, 0.5 + 1.0j, 1.0 + 1.0j):
-        terms = boundary_minor_terms(COUPLINGS, E, 60)
-        total = sum(terms)
-        lead = max(terms, key=abs)
-        assert abs(total - lead) <= 0.01 * abs(total)
 
 
 def test_continuum_ratio_on_band_energies():

@@ -5,12 +5,18 @@ import os
 import numpy as np
 import pytest
 
-from nhskin.cli import main, ring_length
+from nhskin.cli import MAX_ENERGIES, MAX_GRID, MAX_STEPS, main, ring_length
+from nhskin.model import MAX_SITES
 
 REFERENCE_CONFIG = {
     "t": 1.0, "gamma": 1.5, "delta": 0.5,
     "V": 0.0, "theta": 0.0, "L": 40, "boundary": "obc",
 }
+
+# At theta = pi/6 this chain has a defective eigenvalue pair near E = 1.93
+# (an exceptional point); theta = pi/6 is step 1 of a 12-step sweep.
+DEFECTIVE_CONFIG = {"gamma": 1.3942996588998975, "delta": 0.36033966956980074,
+                    "V": 2.0, "L": 39}
 
 
 @pytest.fixture
@@ -52,15 +58,36 @@ def test_spectrum_reference_chain_full(config_path, tmp_path):
     assert sum(1 for r in rows if r[3] == "edge") == 2
 
 
-def test_spectrum_reruns_are_byte_identical(config_path, tmp_path):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["spectrum", "--config", config_path(), "--out", out1]) == 0
-    assert main(["spectrum", "--config", config_path(), "--out", out2]) == 0
-    with open(os.path.join(out1, "spectrum.csv"), "rb") as fh:
-        a = fh.read()
-    with open(os.path.join(out2, "spectrum.csv"), "rb") as fh:
-        b = fh.read()
-    assert a == b
+def test_spectrum_reruns_are_byte_identical(config_path, tmp_path, capsys):
+    # every command, not only spectrum: two runs write the same bytes, and
+    # --svg writes <stem>.svg on the five commands that draw a figure and
+    # is a usage error (exit 1) on the two that do not
+    commands = {
+        "spectrum": ("spectrum.csv", []),
+        "profiles": ("profiles.csv", []),
+        "symmetry": ("verdict.json", []),
+        "gbz": ("gbz.csv", ["--num-energies", "10"]),
+        "zak": ("zak.json", ["--grid", "64"]),
+        "sweep-theta": ("sweep.csv", ["--steps", "6", "--L", "12"]),
+        "boundary": ("boundary.csv", ["--L-check", "6"]),
+    }
+    for command, (name, flags) in commands.items():
+        draws = command not in ("symmetry", "zak")
+        want = sorted([name] + [os.path.splitext(name)[0] + ".svg"] * draws)
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / command / run
+            argv = [command, "--config", config_path(), "--out", str(out), *flags]
+            assert main(argv + ["--svg"] * draws) == 0, command
+            assert capsys.readouterr().out == f"{out / name}\n"
+            assert sorted(f.name for f in out.iterdir()) == want
+            runs.append([(out / f).read_bytes() for f in want])
+        assert runs[0] == runs[1], command
+        if not draws:
+            out = tmp_path / command / "svg"
+            argv = [command, "--config", config_path(), "--out", str(out), "--svg"]
+            assert main(argv) == 1
+            assert not out.exists()
 
 
 def test_spectrum_hermitian_chain_real(config_path, tmp_path):
@@ -224,6 +251,25 @@ def test_sweep_rejects_too_few_steps(config_path, tmp_path):
     assert rc == 1
 
 
+def test_sweep_runs_through_a_defective_cluster(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    rc = main(["sweep-theta", "--config", config_path(**DEFECTIVE_CONFIG),
+               "--out", out, "--steps", "12"])
+    assert rc == 0
+    _, rows = read_csv(os.path.join(out, "sweep.csv"))
+    assert len(rows) == 12
+    assert rows[1][3] == "nhse_expected" and rows[1][6] == "true"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "profiles"])
+def test_per_state_commands_reject_a_defective_cluster(config_path, tmp_path,
+                                                       capsys, command):
+    cfg = config_path(**DEFECTIVE_CONFIG, theta=2.0 * np.pi * 1 / 12)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "defective" in capsys.readouterr().err
+
+
 def test_ring_length_rounding():
     assert ring_length(96) == 96
     assert ring_length(100) == 102
@@ -293,3 +339,36 @@ def test_flag_overrides_config(config_path, tmp_path):
     assert rc == 0
     _, rows = read_csv(os.path.join(out, "spectrum.csv"))
     assert len(rows) == 20
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["profiles", "--selection", "bulk:x"], 1),
+    (["profiles", "--selection", "bulk:"], 1),
+    (["gbz", "--num-energies", "-3"], 1),
+    (["spectrum", "--w-edge", "nan"], 1),
+    (["symmetry", "--tol", "nan"], 1),
+    (["spectrum", "--L", "abc"], 1),
+    (["spectrum", "--no-such-flag"], 1),
+    # beta^L leaves double range: gamma near 2t makes the outer roots large
+    (["boundary", "--gamma", "1.99", "--delta", "0.1", "--L-check", "100"], 2),
+    # every size cap, one past it
+    (["spectrum", "--L", str(MAX_SITES + 1)], 1),
+    (["boundary", "--L-check", str(MAX_SITES + 1)], 1),
+    (["zak", "--grid", str(MAX_GRID + 1)], 1),
+    (["sweep-theta", "--steps", str(MAX_STEPS + 1)], 1),
+    (["gbz", "--num-energies", str(MAX_ENERGIES + 1)], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_bad_input_is_a_typed_error(config_path, tmp_path, capsys, argv, code):
+    rc = main([*argv, "--config", config_path(), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "Traceback" not in err
+    label = "config error: " if code == 1 else "numerical error: "
+    assert err.splitlines()[-1].startswith(label)
+
+
+def test_length_cap_covers_config_files(config_path, tmp_path, capsys):
+    rc = main(["symmetry", "--config", config_path(L=MAX_SITES + 1),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"<= {MAX_SITES}" in capsys.readouterr().err
