@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nhskin import (
     ModelSpec,
@@ -27,6 +28,7 @@ from nhskin.nonbloch import (
     quartic_coefficients,
     wilson_loop_phase,
 )
+from oracles import band_energies_loop, zak_phase_loop
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -244,6 +246,64 @@ def test_zak_phase_requires_four_roots():
 def test_zak_phase_rejects_potential():
     with pytest.raises(UnsupportedPotential):
         zak_phase(REFERENCE.replace(V=1.0, L=99), grid=256)
+
+
+# gapped points: the README chain, a perfbench-box point, a weak-hopping one
+GAPPED = [REFERENCE, ModelSpec(t=1.0, gamma=1.3, delta=0.35, num_sites=10),
+          ModelSpec(t=0.3, gamma=2.0, delta=0.9, num_sites=10)]
+
+
+@pytest.mark.parametrize("grid", [64, 1000, 1025, 3000])
+@pytest.mark.parametrize("spec", GAPPED)
+def test_zak_phase_matches_point_loop_bit_for_bit(spec, grid):
+    # 1025 and 3000 cross block edges, so the carried member is exercised
+    for band in ("plus", "minus"):
+        res = zak_phase(spec, band=band, grid=grid)
+        assert (res.phase, res.residual) == zak_phase_loop(spec, band, grid)
+
+
+@pytest.mark.parametrize("spec,grid,gap_tol", [
+    (ModelSpec(t=0.0, gamma=0.1, delta=0.5, num_sites=10), 256, 1e-8),
+    (ModelSpec(t=0.0, gamma=0.1, delta=0.5, num_sites=10), 1000, 1e-8),
+    (ModelSpec(t=0.0, gamma=0.1, delta=0.5, num_sites=10), 3000, 1e-8),
+    # the gap first drops below 1.25 at point 1177, in the second block
+    (ModelSpec(t=1.0, gamma=1.5, delta=0.3, num_sites=10), 5000, 1.25),
+])
+def test_band_touching_message_matches_point_loop(spec, grid, gap_tol):
+    with pytest.raises(BandTouching) as got:
+        zak_phase(spec, grid=grid, gap_tol=gap_tol)
+    with pytest.raises(BandTouching) as want:
+        zak_phase_loop(spec, "plus", grid, gap_tol)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("num_k,offset", [(17, 0.0), (33, 0.5)])
+def test_band_energies_match_point_loop_bit_for_bit(num_k, offset):
+    assert np.array_equal(band_energies(REFERENCE, num_k, offset),
+                          band_energies_loop(REFERENCE, num_k, offset))
+
+
+def test_bloch_matrix_stack_matches_scalar_calls():
+    beta = np.exp(1j * np.linspace(0.0, 6.0, 7)) * 1.3
+    stack = bloch_matrix(REFERENCE, beta)
+    assert stack.shape == (7, 2, 2)
+    for b, M in zip(beta, stack):
+        assert np.array_equal(M, bloch_matrix(REFERENCE, b))
+    with pytest.raises(ZeroBeta):
+        bloch_matrix(REFERENCE, np.array([1.0, 0.0]))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(0.0, 3.0), delta=st.floats(0.1, 1.5))
+def test_zak_phase_quantized_and_grid_converged(gamma, delta):
+    # t = 1 and delta != 0 keep the bands gapped on the whole circle; the
+    # line delta^2 - 1 + gamma^2/4 = 0 loses two beta roots
+    assume(abs(delta ** 2 - 1.0 + gamma ** 2 / 4.0) > 0.05)
+    spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, num_sites=10)
+    coarse, fine = (zak_phase(spec, grid=grid).phase for grid in (1024, 4096))
+    assert min(abs(coarse), abs(abs(coarse) - np.pi)) <= 1e-8
+    apart = abs(coarse - fine) % (2.0 * np.pi)
+    assert min(apart, 2.0 * np.pi - apart) <= 1e-8
 
 
 def test_band_energies_match_ring_spectrum():
