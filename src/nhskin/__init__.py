@@ -8,12 +8,11 @@ diagnostics, the complex decay-factor (beta) analysis of bulk states,
 band geometric phases, and a finite-chain boundary determinant.
 """
 
-from .model import ModelSpec, OBC, PBC, build_bdg, build_single_particle, validate_spec
+from .model import Bonds, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
 from .symmetry import (
     SymmetryOp,
     Verdict,
     build_combined,
-    build_reflection,
     commutator_residual,
     default_candidates,
     is_reducible,
@@ -26,8 +25,6 @@ from .spectra import (
     classify_states,
     density_profile,
     eigendecompose,
-    negation_distance,
-    pbc_spectrum,
     skin_metrics,
 )
 from .nonbloch import (
@@ -52,13 +49,12 @@ from .boundary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelSpec", "OBC", "PBC", "build_bdg", "build_single_particle",
-    "validate_spec",
-    "SymmetryOp", "Verdict", "build_combined", "build_reflection",
+    "Bonds", "ModelSpec", "OBC", "PBC", "bonds", "build_bdg", "validate_spec",
+    "SymmetryOp", "Verdict", "build_combined",
     "commutator_residual", "default_candidates", "is_reducible",
     "ring_candidates", "theorem_verdict",
     "EigenSystem", "SkinReport", "classify_states", "density_profile",
-    "eigendecompose", "negation_distance", "pbc_spectrum", "skin_metrics",
+    "eigendecompose", "skin_metrics",
     "BetaQuartet", "ZakResult", "band_energies", "bloch_matrix",
     "char_poly_residual", "continuum_condition", "gbz_modulus_report",
     "solve_beta", "zak_phase",

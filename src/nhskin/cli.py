@@ -31,7 +31,7 @@ from . import svgplot
 from .boundary import boundary_determinant, continuum_ratio
 from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalError,
                      SelectionOutOfRange, UnsupportedPotential, WrongCase)
-from .model import MAX_SITES, ModelSpec, OBC, PBC, build_bdg, validate_spec
+from .model import MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
 from .nonbloch import band_energies, gbz_modulus_report, zak_phase
 from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
                       classify_states, density_profile, eigendecompose, skin_metrics)
@@ -196,7 +196,7 @@ def cmd_profiles(spec: ModelSpec, args) -> Output:
 
 
 def cmd_symmetry(spec: ModelSpec, args) -> Output:
-    verdict = theorem_verdict(build_bdg(spec), default_candidates(spec.num_sites),
+    verdict = theorem_verdict(bonds(spec), default_candidates(spec.num_sites),
                               args.tol)
     return Output("verdict.json", payload=verdict.to_dict())
 
@@ -241,7 +241,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
         # the symmetry test runs on the periodic ring, where shifted
         # reflection centers are legitimate lattice maps
         ring_spec = spec.replace(theta=theta, boundary=PBC, L=L_ring)
-        H_ring = build_bdg(ring_spec)
+        H_ring = bonds(ring_spec)
         verdict = theorem_verdict(H_ring, candidates, args.tol)
         residual = verdict.commutator_residual
         if residual is None:

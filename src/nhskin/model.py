@@ -1,4 +1,4 @@
-"""Lattice model definition and dense Hamiltonian assembly.
+"""Lattice model definition and its bond list.
 
 The model is a 1D chain with asymmetric nearest-neighbour hopping
 t +- gamma/2, real p-wave pairing delta, and an optional period-3 onsite
@@ -6,7 +6,7 @@ potential V_n = V sin(2 pi n / 3 + theta).  Matrices are built in the
 doubled (Nambu) representation
 
     [[ h,      dm     ],
-     [ -dm,   -h^dag  ]]
+     [ -dm,   -h^T    ]]
 
 acting on the component order (a_1 ... a_L, b_1 ... b_L), with
 
@@ -15,8 +15,8 @@ acting on the component order (a_1 ... a_L, b_1 ... b_L), with
 
 and the onsite potential entering the particle block as +V_n and the
 hole block as -V_n.  Under periodic boundaries the same amplitudes wrap
-the (L, 1) bond.  Storage is dense; the target sizes (L up to a few
-hundred) are dominated by dense eigensolver cost anyway.
+the (L, 1) bond.  The model is stored as its ~10L nonzero couplings
+(`bonds`); `build_bdg` densifies them for the eigensolvers.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,46 +118,37 @@ def onsite_potential(spec: ModelSpec) -> np.ndarray:
     return spec.big_v * np.sin(2.0 * np.pi * n / 3.0 + spec.theta)
 
 
-def build_single_particle(spec: ModelSpec) -> np.ndarray:
-    """The L x L hopping block h (plus the onsite potential), no doubling.
+class Bonds(NamedTuple):
+    """H[rows[k], cols[k]] = vals[k] (float64): one entry per position,
+    sorted row-major, exact zeros dropped; dim = 2L is the matrix size."""
 
-    This isolates the asymmetric-hopping chain, the standard control
-    system whose open-chain eigenstates all pile up at one end.
-    """
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+
+
+def bonds(spec: ModelSpec) -> Bonds:
+    """Nonzero entries of [[h, dm], [-dm, -h^T]], summed per position (the two-site
+    ring's wrap bond lands on the inner one); no normal-ordering constant."""
     validate_spec(spec)
-    L = spec.num_sites
-    h = np.zeros((L, L), dtype=complex)
-    fwd = -(spec.t + spec.gamma / 2.0)
-    bwd = -(spec.t - spec.gamma / 2.0)
-    for i in range(L - 1):
-        h[i, i + 1] = fwd
-        h[i + 1, i] = bwd
-    if spec.boundary == PBC:
-        h[L - 1, 0] += fwd
-        h[0, L - 1] += bwd
-    h += np.diag(onsite_potential(spec).astype(complex))
-    return h
-
-
-def _pairing_block(spec: ModelSpec) -> np.ndarray:
-    L = spec.num_sites
-    dm = np.zeros((L, L), dtype=complex)
-    for i in range(L - 1):
-        dm[i, i + 1] = -spec.delta
-        dm[i + 1, i] = +spec.delta
-    if spec.boundary == PBC:
-        dm[L - 1, 0] += -spec.delta
-        dm[0, L - 1] += +spec.delta
-    return dm
+    L, N = spec.num_sites, 2 * spec.num_sites
+    n = np.arange(L if spec.boundary == PBC else L - 1)  # bonds (n, n+1), PBC wrap included
+    m, site, k = (n + 1) % L, np.arange(L), len(n)
+    r, c = np.concatenate([n, m, site]), np.concatenate([m, n, site])
+    hv = np.concatenate([np.full(k, -(spec.t + spec.gamma / 2.0)),
+                         np.full(k, -(spec.t - spec.gamma / 2.0)), onsite_potential(spec)])
+    dv = np.concatenate([np.full(k, -spec.delta), np.full(k, spec.delta), np.zeros(L)])
+    # h, dm, -dm and -h^T sit at (r, c), (r, c + L), (r + L, c) and (c + L, r + L)
+    keys, where = np.unique(np.concatenate([r * N + c, r * N + c + L, (r + L) * N + c,
+                                            (c + L) * N + r + L]), return_inverse=True)
+    vals = np.bincount(where, weights=np.concatenate([hv, dv, -dv, -hv]))
+    return Bonds(*np.divmod(keys[vals != 0.0], N), vals[vals != 0.0], N)
 
 
 def build_bdg(spec: ModelSpec) -> np.ndarray:
-    """The 2L x 2L doubled matrix [[h, dm], [-dm, -h^dag]].
-
-    The scalar constant produced by normal-ordering the onsite term is
-    dropped; it shifts the many-body energy, not this matrix.
-    """
-    validate_spec(spec)
-    h = build_single_particle(spec)
-    dm = _pairing_block(spec)
-    return np.block([[h, dm], [-dm, -h.conj().T]])
+    """The dense complex 2L x 2L form of `bonds`, for the eigensolvers."""
+    b = bonds(spec)
+    H = np.zeros((b.dim, b.dim), dtype=complex)
+    H[b.rows, b.cols] = b.vals
+    return H

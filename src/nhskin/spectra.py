@@ -33,7 +33,6 @@ from .errors import (
     NoBulkStates,
     ZeroVector,
 )
-from .model import ModelSpec, PBC, build_bdg, validate_spec
 from .symmetry import connected_components
 
 CLUSTER_TOL = 1e-10
@@ -281,30 +280,3 @@ def skin_metrics(es: EigenSystem, num_sites: int,
         tau_skin=tau_skin,
     )
 
-
-def pbc_spectrum(spec: ModelSpec) -> np.ndarray:
-    """Eigenvalues of the closed ring, ordered by (Re, Im)."""
-    validate_spec(spec)
-    if spec.boundary != PBC:
-        raise ConfigError("pbc_spectrum requires boundary='pbc'")
-    vals = np.linalg.eigvals(build_bdg(spec))
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
-
-
-def set_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Greedy matched distance between two equal-size complex multisets."""
-    a = np.asarray(a, dtype=complex)
-    rem = list(np.asarray(b, dtype=complex))
-    worst = 0.0
-    for x in a:
-        d = np.abs(np.array(rem) - x)
-        k = int(np.argmin(d))
-        worst = max(worst, float(d[k]))
-        rem.pop(k)
-    return worst
-
-
-def negation_distance(values: np.ndarray) -> float:
-    """How far the spectrum is from its own negation (particle-hole test)."""
-    return set_distance(values, -np.asarray(values))

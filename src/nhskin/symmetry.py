@@ -7,7 +7,7 @@ n to its mirror image, the bulk states cannot pile up at one end, so no
 skin effect is expected; if no candidate commutes, skin localization is
 the generic outcome.  The test is meaningful only for matrices that
 cannot be block-diagonalized by a permutation, so a reducibility gate
-runs first.
+runs first, after a Hermitian gate (a Hermitian H has no skin effect).
 
 Reflections may carry the alternating sign (-1)^n ("staggered"), which
 is what makes the particle-hole-type internal factor commute with the
@@ -19,9 +19,8 @@ symmetric.
 Every candidate is a signed permutation of the 2L doubled indices:
 index k goes to sigma[k] with a coefficient in {+1, -1, +i, -i}.  A
 `SymmetryOp` holds only the fields that define it (internal factor,
-staggering, length, center); the commutator with H is two gathers of H,
-O(L^2), and the dense 2L x 2L matrix is built only on request, as a
-reference (`SymmetryOp.matrix`).
+staggering, length, center).  H arrives as its bond list
+(`nhskin.model.Bonds`): the residual and the Hermitian gate are O(nnz).
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimMismatch, MalformedOperator, NonPositiveSize
+from .model import Bonds
 
 PAULI = {
     "sx": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -45,6 +45,7 @@ KIND_BLOCKED = "nhse_blocked"
 KIND_EXPECTED = "nhse_expected"
 KIND_REDUCIBLE = "inapplicable_reducible"
 KIND_NO_CANDIDATES = "no_symmetry_found"
+KIND_HERMITIAN = "hermitian_no_skin"
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ class SymmetryOp:
     """A combined-reflection candidate: internal 2x2 factor x signed site reflection.
 
     The operator is a signed permutation, defined by its fields alone;
-    `signed_permutation` returns the index map and its coefficients, and
-    `matrix` builds the dense 2L x 2L form on demand as a reference.
+    `signed_permutation` returns the index map and its coefficients.
     """
 
     internal_label: str
@@ -84,12 +84,6 @@ class SymmetryOp:
         coeff = (P[[0, 1], comp][:, None] * sign).ravel()
         return sigma, coeff
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense reference form kron(internal factor, build_reflection(...))."""
-        return np.kron(PAULI[self.internal_label],
-                       build_reflection(self.sites, self.spatial_signed, self.center))
-
 
 @dataclass
 class Verdict:
@@ -113,22 +107,6 @@ class Verdict:
             "candidate": cand,
             "components": self.components,
         }
-
-
-def build_reflection(L: int, staggered: bool, center: int | None = None) -> np.ndarray:
-    """Signed site reflection R with R[n, L+1-n] = (-1)^n (1-based sites).
-
-    With `center` given (0-based, periodic), the image of site i is
-    (center - i) mod L instead of the open-chain mirror; this is only a
-    lattice symmetry on a ring.
-    """
-    if L < 2:
-        raise NonPositiveSize(f"reflection needs L >= 2, got {L}")
-    R = np.zeros((L, L))
-    for i in range(L):
-        j = (L - 1 - i) if center is None else (center - i) % L
-        R[i, j] = (-1.0) ** (i + 1) if staggered else 1.0
-    return R
 
 
 def build_combined(internal: str, L: int, staggered: bool,
@@ -159,20 +137,27 @@ def ring_candidates(L: int, internal: str = "sy") -> list[SymmetryOp]:
     return [build_combined(internal, L, True, center=c) for c in range(6)]
 
 
-def commutator_residual(H: np.ndarray, S: SymmetryOp) -> float:
+def _difference_norm(n: int, a: tuple, b: tuple) -> float:
+    """||A - B||_F for n x n (rows, cols, vals) lists, each one entry per position."""
+    _, at = np.unique(np.concatenate([a[0] * n + a[1], b[0] * n + b[1]]), return_inverse=True)
+    diff = np.zeros(at.max(initial=-1) + 1, dtype=complex)
+    np.add.at(diff, at, np.concatenate([a[2], -b[2]]))
+    return float(np.linalg.norm(diff))
+
+
+def commutator_residual(H: Bonds, S: SymmetryOp) -> float:
     """|| HS - SH ||_F / max(||H||_F, floor); 0 means exact commutation.
 
-    Both products are gathers of H: (HS)[:, j] = H[:, inv[j]] coeff[inv[j]]
-    with inv the inverse of sigma, and (SH)[k, :] = coeff[k] H[sigma[k], :].
+    Bond (r, c, v) of H gives v coeff[c] at (r, sigma[c]) in HS and
+    coeff[inv[r]] v at (inv[r], c) in SH, with inv the inverse of sigma.
     """
-    N = 2 * S.sites
-    if H.shape != (N, N):
-        raise DimMismatch(f"shape mismatch: H {H.shape}, S {(N, N)}")
+    if H.dim != 2 * S.sites:
+        raise DimMismatch(f"size mismatch: H {H.dim}, S {2 * S.sites}")
     sigma, coeff = S.signed_permutation()
     inv = np.argsort(sigma)
-    num = np.linalg.norm(np.take(H, inv, axis=1) * coeff[inv]
-                         - coeff[:, None] * np.take(H, sigma, axis=0))
-    return float(num / max(np.linalg.norm(H), 1e-300))
+    r, c, v = H.rows, H.cols, H.vals
+    num = _difference_norm(H.dim, (r, sigma[c], v * coeff[c]), (inv[r], c, coeff[inv[r]] * v))
+    return num / max(float(np.linalg.norm(v)), 1e-300)
 
 
 def connected_components(adj: np.ndarray) -> list[np.ndarray]:
@@ -196,43 +181,45 @@ def connected_components(adj: np.ndarray) -> list[np.ndarray]:
     return [np.nonzero(comp == c)[0] for c in range(ncomp)]
 
 
-def is_reducible(H: np.ndarray) -> tuple[bool, list[list[int]]]:
+def is_reducible(H: Bonds) -> tuple[bool, list[list[int]]]:
     """Can a simultaneous row/column permutation block-diagonalize H?
 
     Builds the undirected graph with an edge (i, j) whenever H[i, j] or
     H[j, i] is nonzero (threshold 1e-14 relative to the largest entry)
     and returns whether it is disconnected, plus the components.
     """
-    A = np.abs(H)
-    nz = A > 1e-14 * max(A.max(), 1e-300)
-    components = [c.tolist() for c in connected_components(nz | nz.T)]
+    nz = np.abs(H.vals) > 1e-14 * max(np.abs(H.vals).max(initial=0.0), 1e-300)
+    adj = np.zeros((H.dim, H.dim), dtype=bool)
+    adj[H.rows[nz], H.cols[nz]] = True
+    components = [c.tolist() for c in connected_components(adj | adj.T)]
     return len(components) > 1, components
 
 
-def theorem_verdict(H: np.ndarray, candidates: list[SymmetryOp],
+def theorem_verdict(H: Bonds, candidates: list[SymmetryOp],
                     tol: float = DEFAULT_TOL) -> Verdict:
-    """Symmetry-based skin-effect verdict for a dense Hamiltonian.
+    """Symmetry-based skin-effect verdict for a Hamiltonian's bond list.
 
-    Order of the gates: a permutation-reducible matrix is out of scope
-    (the criterion presumes irreducibility); otherwise the first
-    candidate that commutes within `tol` blocks the skin effect (every
-    candidate maps each site to its mirror by construction); otherwise
-    skin localization is the symmetry-based prediction, to be
-    cross-checked against real-space diagnostics.
+    Order of the gates: a Hermitian H (real, ||H - H^T|| <= tol ||H||) has
+    no skin effect and a permutation-reducible one is out of scope (the
+    criterion presumes irreducibility); neither kind has a residual or a
+    candidate.  Otherwise the first candidate that commutes within `tol`
+    blocks the skin effect (every candidate maps each site to its mirror
+    by construction); otherwise skin localization is the symmetry-based
+    prediction, to be cross-checked against real-space diagnostics.
     """
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
+    if _difference_norm(H.dim, H[:3], (H.cols, H.rows, H.vals)) <= tol * np.linalg.norm(H.vals):
+        return Verdict(kind=KIND_HERMITIAN)
     reducible, components = is_reducible(H)
     if reducible:
         return Verdict(kind=KIND_REDUCIBLE, components=components)
-    best: float | None = None
-    best_cand: SymmetryOp | None = None
+    residuals = []
     for cand in candidates:
-        r = commutator_residual(H, cand)
-        if best is None or r < best:
-            best, best_cand = r, cand
-        if r <= tol:
-            return Verdict(kind=KIND_BLOCKED, commutator_residual=r, candidate=cand)
+        residuals.append(commutator_residual(H, cand))
+        if residuals[-1] <= tol:
+            return Verdict(kind=KIND_BLOCKED, commutator_residual=residuals[-1], candidate=cand)
     if not candidates:
         return Verdict(kind=KIND_NO_CANDIDATES)
-    return Verdict(kind=KIND_EXPECTED, commutator_residual=best, candidate=best_cand)
+    k = int(np.argmin(residuals))  # the first of equal minima
+    return Verdict(kind=KIND_EXPECTED, commutator_residual=residuals[k], candidate=candidates[k])

@@ -1,15 +1,18 @@
 """Reference implementations the tests compare the package against.
 
-Each function here is a slow, one-point-at-a-time form of a batched
-routine in `nhskin`, kept so that the batched code can be checked for
-bit-for-bit agreement (`==`), not just closeness.
+Each function here is a slow, one-point-at-a-time or dense form of a
+routine in `nhskin`: the per-point loops check the batched code for
+bit-for-bit agreement (`==`); the dense model builder, reflections and
+reducibility test are the references for the bond-list code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from nhskin.errors import BandTouching
+from nhskin.errors import BandTouching, ConfigError, NonPositiveSize
+from nhskin.model import PBC, Bonds, onsite_potential, validate_spec
+from nhskin.symmetry import PAULI, connected_components
 
 
 def bloch_matrix_scalar(spec, beta) -> np.ndarray:
@@ -93,3 +96,104 @@ def zak_phase_loop(spec, band: str = "plus", grid: int = 4096,
         rights.append(r)
         prev_left = l
     return wilson_loop_phase_loop(lefts, rights), cross_defect
+
+
+def build_single_particle(spec) -> np.ndarray:
+    """The L x L hopping block h (plus the onsite potential), filled by a loop."""
+    validate_spec(spec)
+    L = spec.num_sites
+    h = np.zeros((L, L), dtype=complex)
+    fwd = -(spec.t + spec.gamma / 2.0)
+    bwd = -(spec.t - spec.gamma / 2.0)
+    for i in range(L - 1):
+        h[i, i + 1] = fwd
+        h[i + 1, i] = bwd
+    if spec.boundary == PBC:
+        h[L - 1, 0] += fwd
+        h[0, L - 1] += bwd
+    h += np.diag(onsite_potential(spec).astype(complex))
+    return h
+
+
+def pairing_block(spec) -> np.ndarray:
+    """The L x L pairing block dm, filled by a loop."""
+    L = spec.num_sites
+    dm = np.zeros((L, L), dtype=complex)
+    for i in range(L - 1):
+        dm[i, i + 1] = -spec.delta
+        dm[i + 1, i] = +spec.delta
+    if spec.boundary == PBC:
+        dm[L - 1, 0] += -spec.delta
+        dm[0, L - 1] += +spec.delta
+    return dm
+
+
+def build_bdg_loop(spec) -> np.ndarray:
+    """The dense doubled matrix [[h, dm], [-dm, -h^dag]] from the loop blocks."""
+    h = build_single_particle(spec)
+    dm = pairing_block(spec)
+    return np.block([[h, dm], [-dm, -h.conj().T]])
+
+
+def bonds_of(H) -> Bonds:
+    """The bond list of a dense real matrix: its nonzero entries, row-major."""
+    H = np.asarray(H)
+    rows, cols = np.nonzero(H)
+    return Bonds(rows, cols, H[rows, cols].real.astype(float), len(H))
+
+
+def build_reflection(L: int, staggered: bool, center: int | None = None) -> np.ndarray:
+    """Signed site reflection R with R[n, L+1-n] = (-1)^n (1-based sites).
+
+    With `center` given (0-based, periodic), the image of site i is
+    (center - i) mod L instead of the open-chain mirror.
+    """
+    if L < 2:
+        raise NonPositiveSize(f"reflection needs L >= 2, got {L}")
+    R = np.zeros((L, L))
+    for i in range(L):
+        j = (L - 1 - i) if center is None else (center - i) % L
+        R[i, j] = (-1.0) ** (i + 1) if staggered else 1.0
+    return R
+
+
+def symmetry_matrix(S) -> np.ndarray:
+    """Dense 2L x 2L form kron(internal factor, build_reflection(...)) of a SymmetryOp."""
+    return np.kron(PAULI[S.internal_label],
+                   build_reflection(S.sites, S.spatial_signed, S.center))
+
+
+def is_reducible_dense(H: np.ndarray) -> tuple[bool, list[list[int]]]:
+    """Reducibility from the dense matrix: edges where |H| exceeds 1e-14 max|H|."""
+    A = np.abs(H)
+    nz = A > 1e-14 * max(A.max(), 1e-300)
+    components = [c.tolist() for c in connected_components(nz | nz.T)]
+    return len(components) > 1, components
+
+
+def pbc_spectrum(spec) -> np.ndarray:
+    """Eigenvalues of the closed ring, ordered by (Re, Im)."""
+    validate_spec(spec)
+    if spec.boundary != PBC:
+        raise ConfigError("pbc_spectrum requires boundary='pbc'")
+    vals = np.linalg.eigvals(build_bdg_loop(spec))
+    order = np.lexsort((vals.imag, vals.real))
+    return vals[order]
+
+
+def set_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Greedy matched distance between two equal-size complex multisets."""
+    a = np.asarray(a, dtype=complex)
+    rem = list(np.asarray(b, dtype=complex))
+    worst = 0.0
+    for x in a:
+        d = np.abs(np.array(rem) - x)
+        k = int(np.argmin(d))
+        worst = max(worst, float(d[k]))
+        rem.pop(k)
+    return worst
+
+
+def negation_distance(values: np.ndarray) -> float:
+    """How far the spectrum is from its own negation (particle-hole test)."""
+    return set_distance(values, -np.asarray(values))

@@ -19,16 +19,14 @@ from nhskin import (
     band_energies,
     bloch_matrix,
     boundary_determinant,
+    bonds,
     build_bdg,
     build_combined,
-    build_single_particle,
     classify_states,
     commutator_residual,
     continuum_ratio,
     default_candidates,
     eigendecompose,
-    negation_distance,
-    pbc_spectrum,
     skin_metrics,
     solve_beta,
     theorem_verdict,
@@ -36,8 +34,8 @@ from nhskin import (
 )
 from nhskin.cli import main
 from nhskin.nonbloch import quartic_coefficients
-from nhskin.spectra import set_distance
 from nhskin.symmetry import KIND_REDUCIBLE
+from oracles import build_single_particle, negation_distance, pbc_spectrum, set_distance
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -57,9 +55,8 @@ def reference_es():
 
 
 def test_criterion_01_symmetry_commutation():
-    H = build_bdg(REFERENCE)
     S = build_combined("sy", 100, True)
-    r = commutator_residual(H, S)
+    r = commutator_residual(bonds(REFERENCE), S)
     report(1, "symmetry commutation", r <= 1e-12, f"residual={r:.2e}")
 
 
@@ -228,8 +225,7 @@ def test_criterion_11_oracle_equivalence():
 
 
 def test_criterion_12_reducibility_gate_and_control():
-    H = build_bdg(REFERENCE.replace(delta=0.0, L=40))
-    v = theorem_verdict(H, default_candidates(40))
+    v = theorem_verdict(bonds(REFERENCE.replace(delta=0.0, L=40)), default_candidates(40))
     gate_ok = (v.kind == KIND_REDUCIBLE
                and sorted(len(c) for c in v.components) == [40, 40])
     ctrl = ModelSpec(t=1.0, gamma=1.5, num_sites=40)

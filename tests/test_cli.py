@@ -177,6 +177,19 @@ def test_symmetry_command_reducible(config_path, tmp_path):
     assert sorted(len(c) for c in verdict["components"]) == [40, 40]
 
 
+def test_symmetry_command_hermitian_chain(config_path, tmp_path):
+    # gamma = 0 makes H real symmetric: no skin effect, although theta = 0.3
+    # breaks every mirror candidate
+    out = str(tmp_path / "out")
+    rc = main(["symmetry", "--config", config_path(gamma=0.0, V=2.0, theta=0.3, L=96),
+               "--out", out])
+    assert rc == 0
+    with open(os.path.join(out, "verdict.json")) as fh:
+        verdict = json.load(fh)
+    assert verdict == {"kind": "hermitian_no_skin", "residual": None, "candidate": None,
+                       "components": None}
+
+
 def test_gbz_command(config_path, tmp_path):
     out = str(tmp_path / "out")
     rc = main(["gbz", "--config", config_path(), "--out", out,
@@ -243,6 +256,23 @@ def test_sweep_without_potential_always_symmetric(config_path, tmp_path):
     for r in rows:
         assert float(r[2]) <= 1e-10
         assert r[6] == "false"
+
+
+def test_sweep_hermitian_chain_never_expects_skin(config_path, tmp_path):
+    # every step is Hermitian; the residual column still carries the best
+    # ring candidate's residual, which vanishes only at theta = k pi/3
+    out = str(tmp_path / "out")
+    rc = main(["sweep-theta", "--config", config_path(gamma=0.0, V=2.0, L=48),
+               "--out", out, "--steps", "12"])
+    assert rc == 0
+    _, rows = read_csv(os.path.join(out, "sweep.csv"))
+    assert len(rows) == 12
+    for r in rows:
+        assert r[3] == "hermitian_no_skin" and r[6] == "false"
+        if int(r[0]) % 2 == 0:
+            assert float(r[2]) <= 1e-10
+        else:
+            assert float(r[2]) > 1e-3
 
 
 def test_sweep_rejects_too_few_steps(config_path, tmp_path):

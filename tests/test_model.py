@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nhskin import ModelSpec, OBC, PBC, build_bdg, build_single_particle, validate_spec
+from nhskin import Bonds, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
 from nhskin.errors import NonFinite, NonPositiveSize, PbcPeriodMismatch
 from nhskin.model import onsite_potential
+from oracles import build_bdg_loop
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -66,13 +68,18 @@ def test_bdg_pbc_cosine_bands_doubled():
     assert np.abs(got - want).max() < 1e-12
 
 
+def single_particle(spec):
+    """The particle block h of the doubled matrix."""
+    return build_bdg(spec)[:spec.num_sites, :spec.num_sites]
+
+
 def test_single_particle_two_site():
-    h = build_single_particle(ModelSpec(t=1.0, gamma=1.5, num_sites=2))
+    h = single_particle(ModelSpec(t=1.0, gamma=1.5, num_sites=2))
     assert np.array_equal(h, np.array([[0.0, -1.75], [-0.25, 0.0]]))
 
 
 def test_single_particle_hermitian_limit_real_symmetric():
-    h = build_single_particle(ModelSpec(t=1.3, gamma=0.0, num_sites=8))
+    h = single_particle(ModelSpec(t=1.3, gamma=0.0, num_sites=8))
     assert np.abs(h.imag).max() == 0.0
     assert np.abs(h - h.T).max() == 0.0
 
@@ -81,7 +88,7 @@ def test_single_particle_similarity_oracle():
     # asymmetric chain is similar to a symmetric one with hopping
     # sqrt((t + g/2)(t - g/2)); spectra must agree and stay real
     t, g, L = 1.0, 1.5, 20
-    h = build_single_particle(ModelSpec(t=t, gamma=g, num_sites=L))
+    h = single_particle(ModelSpec(t=t, gamma=g, num_sites=L))
     ev = np.linalg.eigvals(h)
     assert np.abs(ev.imag).max() < 1e-10
     amp = -np.sqrt((t + g / 2.0) * (t - g / 2.0))
@@ -132,3 +139,62 @@ def test_onsite_potential_period_three():
     assert np.abs(v[:3] - v[3:6]).max() < 1e-14
     assert np.abs(v[:3] - v[6:9]).max() < 1e-14
     assert np.abs(v[0] - 2.0 * np.sin(2.0 * np.pi / 3.0 + 0.3)) < 1e-15
+
+
+def _specs():
+    # zero couplings are drawn often; PBC rings with V != 0 need L % 3 == 0
+    coupling = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    return st.builds(
+        lambda L, boundary, t, gamma, delta, V, theta: ModelSpec(
+            t=t, gamma=gamma, delta=delta, big_v=V, theta=theta, boundary=boundary,
+            num_sites=3 * L if boundary == PBC and V != 0.0 else L + 1),
+        st.integers(1, 16), st.sampled_from([OBC, PBC]), coupling, coupling, coupling,
+        coupling, st.floats(0.0, 2.0 * np.pi))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=_specs())
+def test_bonds_densify_to_the_loop_builder(spec):
+    b = bonds(spec)
+    assert b.vals.dtype == np.float64 and b.dim == 2 * spec.num_sites
+    assert np.all(b.vals != 0.0)
+    keys = b.rows * b.dim + b.cols
+    assert np.all(np.diff(keys) > 0)  # one entry per position, row-major
+    assert np.array_equal(build_bdg(spec), build_bdg_loop(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=2, boundary=PBC),
+    ModelSpec(t=1.0, gamma=1.5, delta=0.5, big_v=2.0, theta=0.3, num_sites=6, boundary=PBC),
+    ModelSpec(t=0.0, gamma=0.0, delta=0.0, num_sites=3, boundary=PBC),
+])
+def test_bonds_named_points_match_the_loop_builder(spec):
+    assert np.array_equal(build_bdg(spec), build_bdg_loop(spec))
+
+
+def test_two_site_ring_sums_the_wrap_bond():
+    # the wrap bond lands on the inner one: the hoppings add, the pairing cancels
+    b = bonds(ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=2, boundary=PBC))
+    assert b.rows.tolist() == [0, 1, 2, 3]
+    assert b.cols.tolist() == [1, 0, 3, 2]
+    assert b.vals.tolist() == [-2.0, -2.0, 2.0, 2.0]
+
+
+def test_zero_chain_has_no_bonds():
+    b = bonds(ModelSpec(t=0.0, gamma=0.0, delta=0.0, num_sites=3))
+    assert len(b.vals) == 0 and b.dim == 6
+    assert isinstance(b, Bonds)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=_specs())
+def test_bonds_particle_hole_exact(spec):
+    # -tau_x H^T tau_x = H: bond (r, c, v) maps to (tau(c), tau(r), -v),
+    # tau swapping the particle and hole halves
+    b = bonds(spec)
+    L = spec.num_sites
+    rows, cols = (b.cols + L) % b.dim, (b.rows + L) % b.dim
+    order = np.argsort(rows * b.dim + cols)
+    assert np.array_equal(rows[order], b.rows)
+    assert np.array_equal(cols[order], b.cols)
+    assert np.array_equal(-b.vals[order], b.vals)

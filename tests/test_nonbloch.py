@@ -28,7 +28,7 @@ from nhskin.nonbloch import (
     quartic_coefficients,
     wilson_loop_phase,
 )
-from oracles import band_energies_loop, zak_phase_loop
+from oracles import band_energies_loop, pbc_spectrum, set_distance, zak_phase_loop
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -100,7 +100,6 @@ def test_roots_match_companion_matrix():
         mine = np.sort_complex(solve_beta(REFERENCE, E).root_array())
         other = np.sort_complex(np.roots(quartic_coefficients(REFERENCE, E)))
         # sorting complex values can swap near-ties; compare as multisets
-        from nhskin.spectra import set_distance
         assert set_distance(mine, other) <= 1e-9
 
 
@@ -309,8 +308,6 @@ def test_zak_phase_quantized_and_grid_converged(gamma, delta):
 def test_band_energies_match_ring_spectrum():
     # sampling both bands over L points reproduces the closed-ring
     # spectrum; cross-oracle with the real-space build
-    from nhskin import pbc_spectrum
-    from nhskin.spectra import set_distance
     spec = REFERENCE.replace(L=30, boundary="pbc")
     ring = pbc_spectrum(spec)
     bands = band_energies(REFERENCE.replace(L=30), 30)

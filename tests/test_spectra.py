@@ -6,16 +6,13 @@ from nhskin import (
     PBC,
     bloch_matrix,
     build_bdg,
-    build_single_particle,
     classify_states,
     density_profile,
     eigendecompose,
-    negation_distance,
-    pbc_spectrum,
     skin_metrics,
 )
 from nhskin.errors import ZeroVector
-from nhskin.spectra import set_distance
+from oracles import build_single_particle, negation_distance, pbc_spectrum, set_distance
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 

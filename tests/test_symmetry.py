@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from nhskin import (
     ModelSpec,
+    OBC,
     PBC,
-    build_bdg,
+    bonds,
     build_combined,
-    build_reflection,
     commutator_residual,
     default_candidates,
     is_reducible,
@@ -20,9 +20,12 @@ from nhskin.errors import ConfigError, DimMismatch, MalformedOperator, NonPositi
 from nhskin.symmetry import (
     KIND_BLOCKED,
     KIND_EXPECTED,
+    KIND_HERMITIAN,
     KIND_NO_CANDIDATES,
     KIND_REDUCIBLE,
 )
+from oracles import (bonds_of, build_bdg_loop, build_reflection, is_reducible_dense,
+                     symmetry_matrix)
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -51,28 +54,28 @@ def test_reflection_rejects_short_chain():
 
 
 def test_combined_two_site_blocks():
-    S = build_combined("sy", 2, True)
+    S = symmetry_matrix(build_combined("sy", 2, True))
     R = build_reflection(2, True)
-    assert np.abs(S.matrix[:2, 2:] + 1j * R).max() == 0.0
-    assert np.abs(S.matrix[2:, :2] - 1j * R).max() == 0.0
-    assert np.abs(S.matrix[:2, :2]).max() == 0.0
+    assert np.abs(S[:2, 2:] + 1j * R).max() == 0.0
+    assert np.abs(S[2:, :2] - 1j * R).max() == 0.0
+    assert np.abs(S[:2, :2]).max() == 0.0
 
 
 def test_combined_identity_is_doubled_reflection():
-    S = build_combined("id", 2, False)
+    S = symmetry_matrix(build_combined("id", 2, False))
     R = build_reflection(2, False)
-    assert np.array_equal(S.matrix, np.kron(np.eye(2), R))
+    assert np.array_equal(S, np.kron(np.eye(2), R))
 
 
 def test_combined_is_unitary_at_scale():
-    S = build_combined("sy", 100, True).matrix
+    S = symmetry_matrix(build_combined("sy", 100, True))
     assert np.abs(S @ S.conj().T - np.eye(200)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("L", [4, 5, 12, 13])
 @pytest.mark.parametrize("staggered", [True, False])
 def test_combined_squares_to_signed_identity(L, staggered):
-    S = build_combined("sy", L, staggered).matrix
+    S = symmetry_matrix(build_combined("sy", L, staggered))
     S2 = S @ S
     sign = S2[0, 0]
     assert abs(abs(sign) - 1.0) <= 1e-14
@@ -80,51 +83,69 @@ def test_combined_squares_to_signed_identity(L, staggered):
 
 
 def test_commutator_reference_chain_blocked():
-    H = build_bdg(REFERENCE)
     S = build_combined("sy", 100, True)
-    assert commutator_residual(H, S) <= 1e-14
+    assert commutator_residual(bonds(REFERENCE), S) <= 1e-14
 
 
 def test_commutator_zero_matrix():
     S = build_combined("sy", 4, True)
-    assert commutator_residual(np.zeros((8, 8)), S) == 0.0
+    assert commutator_residual(bonds_of(np.zeros((8, 8))), S) == 0.0
 
 
 def test_commutator_broken_by_quarter_phase_potential():
-    H = build_bdg(REFERENCE.replace(V=2.0, theta=np.pi / 4))
+    H = bonds(REFERENCE.replace(V=2.0, theta=np.pi / 4))
     S = build_combined("sy", 100, True)
     assert commutator_residual(H, S) > 0.01
 
 
 def test_commutator_scale_invariance():
-    H = build_bdg(REFERENCE.replace(V=2.0, theta=0.7, L=30))
+    H = bonds(REFERENCE.replace(V=2.0, theta=0.7, L=30))
     S = build_combined("sy", 30, True)
     r1 = commutator_residual(H, S)
-    r2 = commutator_residual(3.7 * H, S)
+    r2 = commutator_residual(H._replace(vals=3.7 * H.vals), S)
     assert abs(r1 - r2) <= 1e-12 * max(r1, 1.0)
 
 
 def test_commutator_dim_mismatch():
     with pytest.raises(DimMismatch):
-        commutator_residual(np.eye(6), build_combined("sy", 4, True))
+        commutator_residual(bonds_of(np.eye(6)), build_combined("sy", 4, True))
 
 
 def test_reducibility_with_pairing_is_irreducible():
-    red, comps = is_reducible(build_bdg(REFERENCE.replace(L=20)))
+    red, comps = is_reducible(bonds(REFERENCE.replace(L=20)))
     assert not red
     assert len(comps) == 1 and len(comps[0]) == 40
 
 
 def test_reducibility_without_pairing_splits_in_two():
-    red, comps = is_reducible(build_bdg(REFERENCE.replace(delta=0.0, L=20)))
+    red, comps = is_reducible(bonds(REFERENCE.replace(delta=0.0, L=20)))
     assert red
     assert sorted(len(c) for c in comps) == [20, 20]
     assert comps[0] == list(range(20))
 
 
 def test_reducibility_diagonal_matrix_is_singletons():
-    red, comps = is_reducible(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    red, comps = is_reducible(bonds_of(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])))
     assert red and len(comps) == 6
+
+
+@pytest.mark.parametrize("spec", [
+    REFERENCE.replace(L=20),
+    REFERENCE.replace(delta=0.0, L=20),
+    REFERENCE.replace(V=2.0, theta=0.3, delta=0.0, L=12, boundary=PBC),
+    # the two-site ring: the wrap bond lands on the inner one and the
+    # pairing cancels, so H splits into its particle and hole halves
+    REFERENCE.replace(L=2, boundary=PBC),
+    REFERENCE.replace(t=0.0, L=2, boundary=PBC),
+    ModelSpec(t=0.0, gamma=0.0, delta=0.0, num_sites=3),
+])
+def test_reducibility_matches_dense_reference(spec):
+    assert is_reducible(bonds(spec)) == is_reducible_dense(build_bdg_loop(spec))
+
+
+def test_two_site_ring_is_reducible():
+    red, comps = is_reducible(bonds(REFERENCE.replace(L=2, boundary=PBC)))
+    assert red and comps == [[0, 1], [2, 3]]
 
 
 def test_reflection_structure_accepts_mirror_candidates():
@@ -149,7 +170,7 @@ def test_signed_permutation_matches_dense_matrix(L):
         assert np.array_equal(np.sort(sigma), np.arange(2 * L))
         dense = np.zeros((2 * L, 2 * L), dtype=complex)
         dense[np.arange(2 * L), sigma] = coeff
-        assert np.array_equal(S.matrix, dense)
+        assert np.array_equal(symmetry_matrix(S), dense)
         assert set(coeff.tolist()) <= {1, -1, 1j, -1j}
 
 
@@ -160,20 +181,41 @@ def _points(L, boundary):
     return [base, base.replace(theta=np.pi / 4), base.replace(delta=0.0, theta=0.3)]
 
 
+def _assert_matches_dense(spec, cands):
+    # the bond sums run in another order than the dense norm, so the two
+    # agree to 1e-14 relative, and an exact zero on one side is exact on both
+    H = build_bdg_loop(spec)
+    for S in cands:
+        M = symmetry_matrix(S)
+        dense = np.linalg.norm(H @ M - M @ H) / np.linalg.norm(H)
+        r = commutator_residual(bonds(spec), S)
+        assert (r == 0.0) == (dense == 0.0), (S, spec)
+        assert abs(r - dense) <= 1e-14 * dense, (S, spec)
+
+
 @pytest.mark.parametrize("L,boundary", [(7, "obc"), (12, "obc"), (12, PBC), (18, PBC)])
 def test_commutator_matches_dense_reference_bit_for_bit(L, boundary):
     cands = default_candidates(L)
     if boundary == PBC:
         cands += ring_candidates(L)
-    for H in (build_bdg(spec) for spec in _points(L, boundary)):
-        for S in cands:
-            M = S.matrix
-            dense = np.linalg.norm(H @ M - M @ H) / np.linalg.norm(H)
-            assert commutator_residual(H, S) == dense, (S, L, boundary)
+    for spec in _points(L, boundary):
+        _assert_matches_dense(spec, cands)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(L=st.integers(2, 20), ring=st.booleans(), gamma=st.floats(-3.0, 3.0),
+       delta=st.sampled_from([0.0, 0.5, -1.2]), V=st.sampled_from([0.0, 2.0]),
+       theta=st.floats(0.0, 2.0 * np.pi))
+def test_commutator_matches_dense_reference_everywhere(L, ring, gamma, delta, V, theta):
+    if ring:
+        L = 6 * (L // 6 + 1)
+    spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, big_v=V, theta=theta, num_sites=L,
+                     boundary=PBC if ring else OBC)
+    _assert_matches_dense(spec, default_candidates(L) + (ring_candidates(L) if ring else []))
 
 
 def test_verdict_reference_chain():
-    H = build_bdg(REFERENCE)
+    H = bonds(REFERENCE)
     v = theorem_verdict(H, default_candidates(100))
     assert v.kind == KIND_BLOCKED
     assert v.candidate.internal_label == "sy" and v.candidate.spatial_signed
@@ -182,37 +224,37 @@ def test_verdict_reference_chain():
 
 def test_verdict_third_pi_potential_still_blocked():
     # theta = pi/3 keeps the mirror antisymmetry of the potential at L = 100
-    H = build_bdg(REFERENCE.replace(V=2.0, theta=np.pi / 3))
+    H = bonds(REFERENCE.replace(V=2.0, theta=np.pi / 3))
     v = theorem_verdict(H, default_candidates(100))
     assert v.kind == KIND_BLOCKED
 
 
 def test_verdict_quarter_pi_potential_expected():
-    H = build_bdg(REFERENCE.replace(V=2.0, theta=np.pi / 4))
+    H = bonds(REFERENCE.replace(V=2.0, theta=np.pi / 4))
     v = theorem_verdict(H, default_candidates(100))
     assert v.kind == KIND_EXPECTED
     assert v.commutator_residual > 1e-3
 
 
 def test_verdict_gates_on_reducibility():
-    H = build_bdg(REFERENCE.replace(delta=0.0, L=30))
+    H = bonds(REFERENCE.replace(delta=0.0, L=30))
     v = theorem_verdict(H, default_candidates(30))
     assert v.kind == KIND_REDUCIBLE
     assert sorted(len(c) for c in v.components) == [30, 30]
 
 
 def test_verdict_empty_candidates():
-    H = build_bdg(REFERENCE.replace(L=10))
+    H = bonds(REFERENCE.replace(L=10))
     assert theorem_verdict(H, []).kind == KIND_NO_CANDIDATES
 
 
 def test_verdict_requires_positive_tol():
     with pytest.raises(ConfigError):
-        theorem_verdict(np.eye(4), [], tol=0.0)
+        theorem_verdict(bonds_of(np.eye(4)), [], tol=0.0)
 
 
 def test_verdict_deterministic_and_order_respecting():
-    H = build_bdg(REFERENCE.replace(L=12))
+    H = bonds(REFERENCE.replace(L=12))
     cands = default_candidates(12)
     v1 = theorem_verdict(H, cands)
     v2 = theorem_verdict(H, cands)
@@ -228,12 +270,12 @@ def test_ring_candidates_cover_all_third_pi_phases():
         theta = k * np.pi / 3.0
         spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, big_v=2.0,
                          theta=theta, num_sites=L, boundary=PBC)
-        H = build_bdg(spec)
+        H = bonds(spec)
         best = min(commutator_residual(H, c) for c in cands)
         assert best <= 1e-12, f"theta = {k} pi/3 not matched: {best}"
     spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, big_v=2.0,
                      theta=np.pi / 4, num_sites=L, boundary=PBC)
-    H = build_bdg(spec)
+    H = bonds(spec)
     assert min(commutator_residual(H, c) for c in cands) > 1e-3
 
 
@@ -244,7 +286,7 @@ def test_ring_candidates_need_multiple_of_six():
 
 def test_verdict_never_blocked_for_reducible():
     # premise gate fires before any candidate is consulted
-    H = build_bdg(REFERENCE.replace(delta=0.0, L=24))
+    H = bonds(REFERENCE.replace(delta=0.0, L=24))
     v = theorem_verdict(H, default_candidates(24))
     assert v.kind == KIND_REDUCIBLE
 
@@ -259,11 +301,38 @@ def test_verdict_invariant_under_ring_translation(L, gamma, delta, theta):
     spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, big_v=2.0, theta=theta,
                      num_sites=L, boundary=PBC)
     cands = ring_candidates(L)
-    v1 = theorem_verdict(build_bdg(spec), cands)
-    v2 = theorem_verdict(build_bdg(spec.replace(theta=theta + 2.0 * np.pi / 3.0)), cands)
+    v1 = theorem_verdict(bonds(spec), cands)
+    v2 = theorem_verdict(bonds(spec.replace(theta=theta + 2.0 * np.pi / 3.0)), cands)
     assert v1.kind == v2.kind
     if v1.kind == KIND_EXPECTED:
         # theta + 2 pi/3 is rounded to a double, which moves the residual
         # by ~1e-15 absolute: relative agreement needs an absolute floor
         assert math.isclose(v1.commutator_residual, v2.commutator_residual,
                             rel_tol=1e-12, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4, 2.0])
+@pytest.mark.parametrize("boundary,L", [(OBC, 96), (PBC, 12)])
+def test_hermitian_chain_is_gated_before_any_candidate(theta, boundary, L):
+    # gamma = 0 makes H real symmetric: no skin effect, whatever theta does
+    spec = ModelSpec(t=1.0, gamma=0.0, delta=0.5, big_v=2.0, theta=theta, num_sites=L,
+                     boundary=boundary)
+    cands = default_candidates(L) + (ring_candidates(L) if boundary == PBC else [])
+    v = theorem_verdict(bonds(spec), cands)
+    assert v.kind == KIND_HERMITIAN
+    assert v.to_dict() == {"kind": KIND_HERMITIAN, "residual": None, "candidate": None,
+                           "components": None}
+
+
+def test_hermitian_gate_outranks_reducibility():
+    # gamma = delta = 0: real symmetric and reducible; Hermitian comes first
+    v = theorem_verdict(bonds(REFERENCE.replace(gamma=0.0, delta=0.0, L=10)),
+                        default_candidates(10))
+    assert v.kind == KIND_HERMITIAN
+
+
+def test_hermitian_gate_uses_the_tolerance():
+    # ||H - H^T|| / ||H|| is about gamma = 1e-9: Hermitian only at a looser tol
+    H = bonds(REFERENCE.replace(gamma=1e-9, L=10))
+    assert theorem_verdict(H, default_candidates(10)).kind != KIND_HERMITIAN
+    assert theorem_verdict(H, default_candidates(10), tol=1e-6).kind == KIND_HERMITIAN
