@@ -6,8 +6,10 @@ JSON file, plus a figure for all but symmetry and zak.  `main` does the
 rest for every command: it reads the model from a JSON config file (keys
 t, gamma, delta, V, theta, L, boundary; flags take precedence), writes
 the primary file into --out and, under --svg, <stem>.svg beside it,
-prints the primary path, and maps errors to exit codes.  Output is
-deterministic: identical configuration gives byte-identical files.
+prints the primary path and any warnings (spectrum and profiles warn on
+stderr about ill-conditioned eigenvalues), and maps errors to exit
+codes.  Output is deterministic: identical configuration gives
+byte-identical files.
 Sizes are capped before any work starts (MAX_SITES for L and --L-check,
 MAX_GRID, MAX_STEPS, MAX_ENERGIES).
 
@@ -34,7 +36,8 @@ from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalErr
 from .model import MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
 from .nonbloch import band_energies, gbz_modulus_report, zak_phase
 from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
-                      classify_states, density_profile, eigendecompose, skin_metrics)
+                      KAPPA_EPS_BOUND, classify_states, density_profile, eigendecompose,
+                      skin_metrics)
 from .symmetry import (DEFAULT_TOL, commutator_residual, default_candidates,
                        ring_candidates, theorem_verdict)
 
@@ -53,14 +56,16 @@ MODEL_FLAGS = {"t": float, "gamma": float, "delta": float, "V": float,
 
 @dataclass
 class Output:
-    """A command's result: its primary file (CSV rows or a JSON payload)
-    and, for commands that draw one, a figure as a list of panels."""
+    """A command's result: its primary file (CSV rows or a JSON payload),
+    for commands that draw one a figure as a list of panels, and warnings
+    for stderr."""
 
     name: str
     header: list[str] = field(default_factory=list)
     rows: list[tuple] = field(default_factory=list)
     payload: dict | None = None
     figure: Callable[[], list] | None = None
+    warnings: list[str] = field(default_factory=list)
 
 
 def _fmt(x) -> str:
@@ -124,19 +129,24 @@ def _scatter(rows, x: int, *panels):
 
 
 def _classified(spec: ModelSpec, args):
-    """Eigensystem and per-state records of the chain; a defective
-    cluster has no well-defined states, so per-state output refuses it."""
+    """Eigensystem, per-state records and conditioning warnings of the chain;
+    a defective cluster has no well-defined states, so per-state output
+    refuses it."""
     es = eigendecompose(build_bdg(spec), num_sites=spec.num_sites)
     if es.defective:
         raise DegenerateAmbiguity(
             f"{len(es.defective)} eigenvalues in defective clusters, "
             f"first near {es.values[es.defective[0]]}")
+    flagged = es.ill_conditioned
+    warnings = [f"{len(flagged)} of {es.dim} eigenvalues are ill-conditioned "
+                f"(kappa*eps > {KAPPA_EPS_BOUND:g}, max kappa {es.condition.max():.3g}); "
+                "they hold only to about kappa*eps*|H|_F"] if len(flagged) else []
     return es, classify_states(es, spec.num_sites,
-                               resolve_ell(args, spec.num_sites), args.w_edge)
+                               resolve_ell(args, spec.num_sites), args.w_edge), warnings
 
 
 def cmd_spectrum(spec: ModelSpec, args) -> Output:
-    es, records = _classified(spec, args)
+    es, records, warnings = _classified(spec, args)
     order = np.lexsort((es.values.imag, es.values.real))
     rows = []
     for rank, i in enumerate(order):
@@ -146,7 +156,7 @@ def cmd_spectrum(spec: ModelSpec, args) -> Output:
     figure = _scatter(rows, 0, ("Re E per state", "state index", "Re E", [1]),
                       ("Im E per state", "state index", "Im E", [2]))
     return Output("spectrum.csv", ["index", "re_E", "im_E", "class", "com", "edge_weight",
-                                   "pr"], rows, figure=figure)
+                                   "pr"], rows, figure=figure, warnings=warnings)
 
 
 def parse_selection(selection: str, records) -> list[int]:
@@ -179,7 +189,7 @@ def _bulk_quantiles(records, k: int) -> list[int]:
 
 
 def cmd_profiles(spec: ModelSpec, args) -> Output:
-    es, records = _classified(spec, args)
+    es, records, warnings = _classified(spec, args)
     L = spec.num_sites
     chosen = parse_selection(args.selection, records)
     profs = [density_profile(es.right[:, i], L) for i in chosen]
@@ -192,7 +202,7 @@ def cmd_profiles(spec: ModelSpec, args) -> Output:
             panels[0].line(range(1, L + 1), prof.site_density)
         return panels
     return Output("profiles.csv", ["state_index", "site", "density"], rows,
-                  figure=figure)
+                  figure=figure, warnings=warnings)
 
 
 def cmd_symmetry(spec: ModelSpec, args) -> Output:
@@ -361,6 +371,8 @@ def main(argv=None) -> int:
         if getattr(args, "svg", False):
             svgplot.write_svg(os.path.splitext(path)[0] + ".svg", result.figure())
         print(path)
+        for text in result.warnings:
+            print(f"warning: {text}", file=sys.stderr)
         return 0
     except (NhskinError, OSError) as exc:
         label, code = next((label, code) for kind, label, code in EXIT_CODES

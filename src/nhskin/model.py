@@ -147,8 +147,8 @@ def bonds(spec: ModelSpec) -> Bonds:
 
 
 def build_bdg(spec: ModelSpec) -> np.ndarray:
-    """The dense complex 2L x 2L form of `bonds`, for the eigensolvers."""
+    """The dense real (float64) 2L x 2L form of `bonds`, for the eigensolvers."""
     b = bonds(spec)
-    H = np.zeros((b.dim, b.dim), dtype=complex)
+    H = np.zeros((b.dim, b.dim))
     H[b.rows, b.cols] = b.vals
     return H

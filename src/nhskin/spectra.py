@@ -1,13 +1,21 @@
 """Dense non-normal eigenproblems and real-space localization diagnostics.
 
-Right eigenvectors come from the matrix itself, left eigenvectors from
-its conjugate transpose; the two sets are matched by eigenvalue
-proximity and rescaled so that left_i . right_j = delta_ij.  Numerically
-degenerate eigenvalue clusters are handled as a block: the left rows are
-recomputed by a small linear solve, and the cluster basis is rotated to
-diagonalize the site-position observable, which deterministically
-separates end-localized partners (a pair of zero modes otherwise comes
-out of the solver as arbitrary mixtures of the two ends).
+One `np.linalg.eig` call gives the eigenvalues and right eigenvectors; a
+real matrix (the model's) runs in real arithmetic.  The left eigenvectors
+are the rows of the inverse of the right-vector matrix, so
+left_i . right_j = delta_ij up to rounding, with no matching step.
+Numerically degenerate eigenvalue clusters are handled as a block: the
+left rows are re-solved against the cluster, and the cluster basis is
+rotated to diagonalize the site-position observable, which
+deterministically separates end-localized partners (a pair of zero modes
+otherwise comes out of the solver as arbitrary mixtures of the two ends).
+An exceptional point, where two right vectors coalesce, is reported
+instead of paired.
+
+Every eigenvalue carries its condition number kappa_i.  Open
+non-reciprocal chains have exponentially large kappa, so their computed
+spectrum is only good to about kappa * eps relative to |H|; states past
+KAPPA_EPS_BOUND are flagged (`EigenSystem.ill_conditioned`).
 
 Localization is quantified per state by the site density folded over
 internal components, its center of mass, the weight in the outermost
@@ -22,6 +30,7 @@ signed mean cancels to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +45,17 @@ from .errors import (
 from .symmetry import connected_components
 
 CLUSTER_TOL = 1e-10
+# Unit right vectors with 1 - |r_i^H r_j| below this are one eigenvector
+# found twice: an exceptional point that rounding split.  Measured: such a
+# pair sits at 2e-14 (L = 39 chain at theta = pi/6, split 2.6e-8 in E), the
+# most parallel distinct pair of the broken L = 192 chain at 5.5e-4 and of
+# the delta = 0 L = 192 chain at 8.7e-8.  Past kappa ~ 1/eps the solver
+# can return coalesced vectors too (delta = 0, L = 96); in double
+# precision that basis is defective as well.
+EP_OVERLAP_TOL = 1e-10
+# kappa_i * eps above this: eigenvalue i may be off by more than this
+# times |H|_F (the first-order error estimate of a backward-stable solver).
+KAPPA_EPS_BOUND = 1e-8
 DEFAULT_EDGE_SITES = 10
 DEFAULT_EDGE_WEIGHT = 0.9
 DEFAULT_TAU_SKIN = 0.25
@@ -44,22 +64,37 @@ ZERO_MODE_RTOL = 1e-8
 
 @dataclass
 class EigenSystem:
-    """Eigenvalues with matched right (columns) and left (rows) vectors.
+    """Eigenvalues with biorthogonal right (columns) and left (rows) vectors.
 
-    `defective` lists the indices of degenerate clusters whose left/right
-    overlap block is numerically singular (an exceptional point).  Their
-    vectors are left as the solver returned them, unpaired.
+    `condition[i]` is kappa_i = |l_i| |r_i| / |l_i . r_i|, the eigenvalue
+    condition number (inf where the left row overflowed).  `defective`
+    lists the indices of exceptional points: clusters with near-parallel
+    right vectors (EP_OVERLAP_TOL) or a singular left/right overlap block.
+    Their vectors are left as the solver returned them, unpaired, and their
+    kappa is meaningless.
     """
 
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    pairing_residual: float
+    condition: np.ndarray
     defective: list[int] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
         return len(self.values)
+
+    @property
+    def ill_conditioned(self) -> np.ndarray:
+        """Indices whose kappa * eps exceeds KAPPA_EPS_BOUND."""
+        return np.nonzero(self.condition * np.finfo(float).eps > KAPPA_EPS_BOUND)[0]
+
+    @cached_property
+    def biorthogonality_defect(self) -> float:
+        """max |LR - I| (inf if not finite); an O(N^3) product, formed on first use."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.abs(self.left @ self.right - np.eye(self.dim)).max()
+        return float(defect) if np.isfinite(defect) else np.inf
 
 
 @dataclass
@@ -98,7 +133,8 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
 
     Parameters
     ----------
-    H : square complex matrix with finite entries
+    H : square real or complex matrix with finite entries; a real one
+        runs in real arithmetic
     num_sites : number of lattice sites L when H is the doubled 2L x 2L
         matrix; used to fold the position observable that disentangles
         degenerate clusters.  None treats each matrix index as a site.
@@ -107,8 +143,8 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
 
     Raises
     ------
-    ConvergenceFailure : solver failure, or a left/right pair whose
-        overlap underflowed to zero.
+    ConvergenceFailure : solver failure, or a numerically singular
+        eigenvector basis that no exceptional point explains.
     DegenerateAmbiguity : a healthy degenerate cluster that the position
         observable cannot split.
 
@@ -120,54 +156,44 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
     if not np.isfinite(H).all():
         raise ConvergenceFailure("matrix has non-finite entries")
     try:
-        w, VR = np.linalg.eig(H)
-        wl, WL = np.linalg.eig(H.conj().T)
+        w, right = np.linalg.eig(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-
-    # Greedy best-match-first assignment of left to right eigenvalues.
-    lvals = np.conj(wl)
-    D = np.abs(w[:, None] - lvals[None, :])
-    order = np.unravel_index(np.argsort(D, axis=None), D.shape)
-    rmatch = -np.ones(N, dtype=int)
-    lused = np.zeros(N, dtype=bool)
-    pairing_residual = 0.0
-    assigned = 0
-    for a, b in zip(*order):
-        if rmatch[a] >= 0 or lused[b]:
-            continue
-        rmatch[a] = b
-        lused[b] = True
-        pairing_residual = max(pairing_residual, float(D[a, b]))
-        assigned += 1
-        if assigned == N:
-            break
-    left = WL[:, rmatch].conj().T
-    right = VR.copy()
+    w, right = w.astype(complex), right.astype(complex)
+    # at an exceptional point the basis is (nearly) singular and its left
+    # rows blow up or turn NaN; the cluster check below reports it as defective
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            left = np.linalg.inv(right)
+        except np.linalg.LinAlgError:
+            left = np.full_like(right, np.nan)
 
     if num_sites is not None and 2 * num_sites == N:
         pos = np.concatenate([np.arange(1, num_sites + 1)] * 2).astype(float)
     else:
         pos = np.arange(1, N + 1, dtype=float)
 
+    D = np.abs(w[:, None] - w[None, :])
+    # two unit right vectors this parallel have |E_i - E_j| below
+    # 2 |H| sqrt(2 tol) / (1 - tol), so only such close pairs are compared
+    i, j = np.nonzero(np.triu(D <= 3.0 * np.sqrt(EP_OVERLAP_TOL) * np.linalg.norm(H), 1))
+    ep = np.abs(np.einsum("ki,ki->i", right[:, i].conj(), right[:, j])) > 1.0 - EP_OVERLAP_TOL
+    i, j = i[ep], j[ep]
+    parallel = np.zeros(N, dtype=bool)
+    parallel[i] = parallel[j] = True
+    near = D < cluster_tol
+    near[i, j] = near[j, i] = True
+    np.fill_diagonal(near, False)
+    linked = np.nonzero(near.any(axis=1))[0]
     defective = []
-    near = np.abs(w[:, None] - w[None, :]) < cluster_tol
-    for idx in connected_components(near):
-        if len(idx) == 1:
-            i = idx[0]
-            ov = left[i] @ right[:, i]
-            if ov == 0.0:
-                raise ConvergenceFailure(
-                    f"left/right overlap underflowed for eigenvalue {w[i]}"
-                )
-            left[i] = left[i] / ov
-            continue
+    for idx in connected_components(near[np.ix_(linked, linked)]):
+        idx = linked[idx]
         Rc = right[:, idx]
         Wc = left[idx, :]
-        M = Wc @ Rc
-        # the solver returns unit-norm vectors, so a healthy cluster has an
-        # O(1) left/right overlap block; a defective one collapses it
-        if not np.isfinite(M).all() or np.linalg.svd(M, compute_uv=False)[-1] < 1e-8:
+        # inv(right) gives a healthy cluster an identity overlap block; an
+        # exceptional point shows as parallel right vectors or a singular block
+        if (parallel[idx].any() or not np.isfinite(M := Wc @ Rc).all()
+                or np.linalg.svd(M, compute_uv=False)[-1] < 1e-8):
             defective.extend(idx.tolist())
             continue
         Lc = np.linalg.solve(M, Wc)
@@ -190,8 +216,14 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
         right[:, idx] = Rc
         left[idx, :] = Lc
 
-    return EigenSystem(values=w, right=right, left=left,
-                       pairing_residual=pairing_residual, defective=defective)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        condition = (np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=0)
+                     / np.abs(np.einsum("ij,ji->i", left, right)))
+    condition[np.isnan(condition)] = np.inf
+    if not defective and not np.isfinite(condition).all():
+        raise ConvergenceFailure("eigenvector basis is numerically singular")
+    return EigenSystem(values=w, right=right, left=left, condition=condition,
+                       defective=defective)
 
 
 def density_profile(state: np.ndarray, num_sites: int) -> DensityProfile:

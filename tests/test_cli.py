@@ -300,6 +300,22 @@ def test_per_state_commands_reject_a_defective_cluster(config_path, tmp_path,
     assert "defective" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("L", [24, 48])
+def test_control_chain_spectrum_runs_and_flags_conditioning(config_path, tmp_path,
+                                                           capsys, L):
+    # delta = 0 decouples two Hatano-Nelson blocks that share every
+    # eigenvalue; the spectrum is exponentially ill-conditioned, not defective
+    rc = main(["spectrum", "--config", config_path(delta=0.0, L=L),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "ill-conditioned" in capsys.readouterr().err
+
+
+def test_well_conditioned_spectrum_prints_no_warning(config_path, tmp_path, capsys):
+    assert main(["spectrum", "--config", config_path(), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_ring_length_rounding():
     assert ring_length(96) == 96
     assert ring_length(100) == 102

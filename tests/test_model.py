@@ -160,7 +160,9 @@ def test_bonds_densify_to_the_loop_builder(spec):
     assert np.all(b.vals != 0.0)
     keys = b.rows * b.dim + b.cols
     assert np.all(np.diff(keys) > 0)  # one entry per position, row-major
-    assert np.array_equal(build_bdg(spec), build_bdg_loop(spec))
+    H = build_bdg(spec)
+    assert H.dtype == np.float64  # real H: the eigensolver runs in real arithmetic
+    assert np.array_equal(H, build_bdg_loop(spec))
 
 
 @pytest.mark.parametrize("spec", [
@@ -169,7 +171,9 @@ def test_bonds_densify_to_the_loop_builder(spec):
     ModelSpec(t=0.0, gamma=0.0, delta=0.0, num_sites=3, boundary=PBC),
 ])
 def test_bonds_named_points_match_the_loop_builder(spec):
-    assert np.array_equal(build_bdg(spec), build_bdg_loop(spec))
+    H = build_bdg(spec)
+    assert H.dtype == np.float64
+    assert np.array_equal(H, build_bdg_loop(spec))
 
 
 def test_two_site_ring_sums_the_wrap_bond():

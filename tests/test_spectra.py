@@ -5,13 +5,17 @@ from nhskin import (
     ModelSpec,
     PBC,
     bloch_matrix,
+    bonds,
     build_bdg,
     classify_states,
+    default_candidates,
     density_profile,
     eigendecompose,
     skin_metrics,
+    theorem_verdict,
 )
 from nhskin.errors import ZeroVector
+from nhskin.spectra import CLUSTER_TOL, EP_OVERLAP_TOL, KAPPA_EPS_BOUND
 from oracles import build_single_particle, negation_distance, pbc_spectrum, set_distance
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
@@ -22,12 +26,78 @@ def reference_es():
     return eigendecompose(build_bdg(REFERENCE), num_sites=100)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_defective_jordan_block_is_reported():
     es = eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     assert es.defective == [0, 1]
     assert np.allclose(es.values, 0.0)
     # the right vectors are the solver's, both along the one eigenvector
     assert np.allclose(np.abs(es.right[0]), 1.0, atol=1e-12)
+
+
+def test_exceptional_point_split_by_rounding_is_defective():
+    # at theta = pi/6 this chain has exceptional points at E = +-1.934; real
+    # arithmetic splits each into a conjugate pair 2.6e-8 or 4.6e-8 apart,
+    # far outside CLUSTER_TOL, but the pair's right vectors stay parallel
+    spec = ModelSpec(gamma=1.3942996588998975, delta=0.36033966956980074, big_v=2.0,
+                     theta=np.pi / 6, num_sites=39)
+    es = eigendecompose(build_bdg(spec), num_sites=39)
+    assert len(es.defective) == 4
+    for a, b in zip(es.defective[::2], es.defective[1::2]):
+        assert CLUSTER_TOL < abs(es.values[a] - es.values[b]) < 1e-6
+        assert abs(abs(es.values[a]) - 1.934) < 1e-3
+        overlap = abs(np.vdot(es.right[:, a], es.right[:, b]))
+        assert overlap > 1.0 - EP_OVERLAP_TOL
+
+
+@pytest.mark.parametrize("spec", [REFERENCE, REFERENCE.replace(V=2.0, theta=np.pi / 3, L=97)])
+def test_blocked_chain_is_well_conditioned(spec):
+    verdict = theorem_verdict(bonds(spec), default_candidates(spec.num_sites))
+    assert verdict.kind == "nhse_blocked"
+    es = eigendecompose(build_bdg(spec), num_sites=spec.num_sites)
+    assert es.condition.max() <= 10.0
+    assert len(es.ill_conditioned) == 0
+    assert es.biorthogonality_defect <= 1e-12
+
+
+def test_broken_long_chain_is_flagged():
+    spec = REFERENCE.replace(V=2.0, theta=0.3, L=192)
+    es = eigendecompose(build_bdg(spec), num_sites=192)
+    assert es.defective == []
+    assert len(es.ill_conditioned) > 0
+    assert es.condition.max() * np.finfo(float).eps > KAPPA_EPS_BOUND
+
+
+# Small chains for the high-precision reference (mpmath's eig is pure Python).
+# At theta = pi/6 the strong potential gives kappa up to ~1e10 at L = 16; at
+# theta = pi/3 the L = 10 chain is symmetry-blocked.
+MP_BROKEN = ModelSpec(gamma=1.8, delta=0.5, big_v=8.0, theta=np.pi / 6, num_sites=16)
+MP_BLOCKED = MP_BROKEN.replace(theta=np.pi / 3, L=10)
+
+
+def _error_against_mpmath(H, values):
+    """Distance of each eigenvalue to the nearest 30-digit eigenvalue, over |H|_F."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = np.array([complex(E) for E in
+                        mpmath.eig(mpmath.matrix(H.tolist()), left=False, right=False)])
+    return np.abs(values[:, None] - ref[None, :]).min(axis=1) / np.linalg.norm(H)
+
+
+def test_condition_flag_covers_every_eigenvalue_off_the_mpmath_reference():
+    H = build_bdg(MP_BROKEN)
+    es = eigendecompose(H, num_sites=16)
+    off = np.nonzero(_error_against_mpmath(H, es.values) > KAPPA_EPS_BOUND)[0]
+    assert len(off) > 0
+    assert set(off.tolist()) <= set(es.ill_conditioned.tolist())
+
+
+def test_condition_flag_is_silent_on_the_blocked_mpmath_chain():
+    H = build_bdg(MP_BLOCKED)
+    assert theorem_verdict(bonds(MP_BLOCKED), default_candidates(10)).kind == "nhse_blocked"
+    es = eigendecompose(H, num_sites=10)
+    assert len(es.ill_conditioned) == 0
+    assert _error_against_mpmath(H, es.values).max() <= KAPPA_EPS_BOUND
 
 
 def test_hermitian_limit_real_spectrum_conjugate_left():
@@ -169,7 +239,7 @@ def test_skin_metrics_invariant_under_state_reordering(reference_es):
         values=reference_es.values[perm],
         right=reference_es.right[:, perm],
         left=reference_es.left[perm, :],
-        pairing_residual=reference_es.pairing_residual,
+        condition=reference_es.condition[perm],
     )
     a = skin_metrics(reference_es, 100)
     b = skin_metrics(shuffled, 100)
@@ -221,5 +291,5 @@ def test_pbc_spectrum_broken_potential_detaches_from_ring():
     assert d_symmetric <= 0.06
 
 
-def test_pairing_residual_is_small_for_normalish_matrix(reference_es):
-    assert reference_es.pairing_residual <= 1e-9
+def test_biorthogonality_defect_is_small_for_normalish_matrix(reference_es):
+    assert reference_es.biorthogonality_defect <= 1e-9
