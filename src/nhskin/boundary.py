@@ -25,17 +25,19 @@ Determinants are reported relative to the largest term of the Leibniz
 expansion.  That ratio is invariant under any row or column rescaling,
 stays O(1) off the spectrum, and drops to rounding level exactly at the
 quantized energies, while raw determinants over/underflow once beta^L
-spans many decades.
+spans many decades.  The powers beta^L are therefore kept as logarithms
+and enter each Leibniz term relative to the largest pair of columns.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .errors import NumericalError, SingularDenominator, WrongCase
+from .errors import SingularDenominator, WrongCase
 from .model import ModelSpec, validate_spec
 from .nonbloch import (
     BetaQuartet,
@@ -86,34 +88,29 @@ def boundary_coeffs(spec: ModelSpec, E: complex, q: BetaQuartet) -> dict[str, Bo
     return out
 
 
-def boundary_matrix(spec: ModelSpec, E: complex, L: int) -> np.ndarray:
-    """The 4x4 condition matrix with rows (A_j, B_j, C_j b^(L-1), D_j b^L)."""
+def boundary_matrix(spec: ModelSpec, E: complex, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x4 condition matrix in factored form (M, g).
+
+    M has rows (A_j, B_j, C_j, D_j b_j) and g_j = (L-1) log b_j: the
+    condition matrix, rows (A_j, B_j, C_j b^(L-1), D_j b^L), is M with
+    rows 3 and 4 of column j times exp(g_j).  The powers stay logs
+    because b^L leaves double range at moderate L (|b| ~ 16 past L ~ 256).
+    """
     q = solve_beta(spec, E)
     if len(q.roots) < 4:
         raise SingularDenominator("degenerate quartic: no 4x4 condition matrix")
     coeffs = boundary_coeffs(spec, E, q)
-    M = np.zeros((4, 4), dtype=complex)
-    for col, label in enumerate(COLUMN_ORDER):
-        b = q.roots[label]
-        cf = coeffs[label]
-        M[0, col] = cf.a
-        M[1, col] = cf.b
-        try:
-            M[2, col] = cf.c * b ** (L - 1)
-            M[3, col] = cf.d * b ** L
-        except OverflowError as exc:
-            raise NumericalError(f"beta^L overflows for root {label} at L = {L}") from exc
-    return M
+    b = np.array([q.roots[label] for label in COLUMN_ORDER])
+    M = np.array([[c.a, c.b, c.c, c.d] for c in map(coeffs.get, COLUMN_ORDER)]).T
+    M[3] *= b
+    return M, (L - 1) * np.log(b)
 
 
-def _row_scaled(M: np.ndarray) -> np.ndarray:
-    M = M.copy()
-    for i in range(4):
-        M[i] /= max(np.abs(M[i]).max(), 1e-300)
-    return M
-
-
-def _leibniz_terms(M: np.ndarray) -> list[complex]:
+def _leibniz_terms(M: np.ndarray, g: np.ndarray) -> list[complex]:
+    """Signed Leibniz terms of the factored matrix (M, g), each divided by
+    the largest |exp(g_j + g_k)| over two distinct columns: no term
+    overflows, and only terms below ~1e-308 of that scale underflow."""
+    M, g = M.tolist(), (g - np.sort(g.real)[-2:].sum() / 2).tolist()
     terms = []
     for p in permutations(range(4)):
         sgn = 1
@@ -121,7 +118,8 @@ def _leibniz_terms(M: np.ndarray) -> list[complex]:
             for j in range(i + 1, 4):
                 if p[i] > p[j]:
                     sgn = -sgn
-        terms.append(sgn * M[0, p[0]] * M[1, p[1]] * M[2, p[2]] * M[3, p[3]])
+        terms.append(sgn * M[0][p[0]] * M[1][p[1]] * M[2][p[2]] * M[3][p[3]]
+                     * cmath.exp(g[p[2]] + g[p[3]]))
     return terms
 
 
@@ -129,15 +127,17 @@ def boundary_determinant(spec: ModelSpec, E: complex, L: int) -> complex:
     """Condition determinant normalized by its largest Leibniz term.
 
     Zero (to rounding) exactly at open-chain eigenvalues of length L;
-    O(1) away from them.  Rows are pre-scaled to unit max magnitude, so
-    the product of four entries does not overflow; the reported ratio is
-    independent of that scaling.  Raises NumericalError when beta^L
-    itself leaves double range.
+    O(1) away from them.  The determinant is the sum of the 24 Leibniz
+    terms of `boundary_matrix`, each with its two powers of beta taken
+    as one exponential relative to the largest pair; rows are pre-scaled
+    to unit max magnitude.  The reported ratio is independent of both
+    scalings, and at any L only terms below ~1e-308 of the largest
+    underflow.
     """
-    M = _row_scaled(boundary_matrix(spec, E, L))
-    terms = _leibniz_terms(M)
+    M, g = boundary_matrix(spec, E, L)
+    terms = _leibniz_terms(M / np.maximum(np.abs(M).max(axis=1, keepdims=True), 1e-300), g)
     biggest = max(abs(x) for x in terms)
-    return complex(np.linalg.det(M) / max(biggest, 1e-300))
+    return complex(sum(terms) / max(biggest, 1e-300))
 
 
 def continuum_ratio(spec: ModelSpec, E: complex, L: int) -> tuple[complex, complex]:

@@ -6,10 +6,10 @@ JSON file, plus a figure for all but symmetry and zak.  `main` does the
 rest for every command: it reads the model from a JSON config file (keys
 t, gamma, delta, V, theta, L, boundary; flags take precedence), writes
 the primary file into --out and, under --svg, <stem>.svg beside it,
-prints the primary path and any warnings (spectrum and profiles warn on
-stderr about ill-conditioned eigenvalues), and maps errors to exit
-codes.  Output is deterministic: identical configuration gives
-byte-identical files.
+prints the primary path and any warnings (spectrum, profiles and
+sweep-theta warn on stderr about ill-conditioned eigenvalues), and maps
+errors to exit codes.  Output is deterministic: identical configuration
+gives byte-identical files.
 Sizes are capped before any work starts (MAX_SITES for L and --L-check,
 MAX_GRID, MAX_STEPS, MAX_ENERGIES).
 
@@ -128,6 +128,12 @@ def _scatter(rows, x: int, *panels):
     return figure
 
 
+def _ill_conditioned(which: str, kappa: float) -> str:
+    """Warning text for eigenvalues past KAPPA_EPS_BOUND, largest kappa given."""
+    return (f"{which} ill-conditioned (kappa*eps > {KAPPA_EPS_BOUND:g}, max kappa "
+            f"{kappa:.3g}); they hold only to about kappa*eps*|H|_F")
+
+
 def _classified(spec: ModelSpec, args):
     """Eigensystem, per-state records and conditioning warnings of the chain;
     a defective cluster has no well-defined states, so per-state output
@@ -138,9 +144,8 @@ def _classified(spec: ModelSpec, args):
             f"{len(es.defective)} eigenvalues in defective clusters, "
             f"first near {es.values[es.defective[0]]}")
     flagged = es.ill_conditioned
-    warnings = [f"{len(flagged)} of {es.dim} eigenvalues are ill-conditioned "
-                f"(kappa*eps > {KAPPA_EPS_BOUND:g}, max kappa {es.condition.max():.3g}); "
-                "they hold only to about kappa*eps*|H|_F"] if len(flagged) else []
+    warnings = [_ill_conditioned(f"{len(flagged)} of {es.dim} eigenvalues are",
+                                 es.condition.max())] if len(flagged) else []
     return es, classify_states(es, spec.num_sites,
                                resolve_ell(args, spec.num_sites), args.w_edge), warnings
 
@@ -241,11 +246,14 @@ def ring_length(L: int) -> int:
 def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     L_ring = ring_length(spec.num_sites)
     candidates = ring_candidates(L_ring)
-    rows = []
+    rows, flagged, kappa = [], [], 0.0
     for s in range(args.steps):
         theta = 2.0 * np.pi * s / args.steps
         obc_spec = spec.replace(theta=theta, boundary=OBC)
         es = eigendecompose(build_bdg(obc_spec), num_sites=obc_spec.num_sites)
+        if len(es.ill_conditioned):
+            flagged.append(str(s))
+            kappa = max(kappa, es.condition.max())
         report = skin_metrics(es, obc_spec.num_sites, args.tau_skin,
                               resolve_ell(args, obc_spec.num_sites), args.w_edge)
         # the symmetry test runs on the periodic ring, where shifted
@@ -261,8 +269,11 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     plotted = [(r[1], max(r[2], 1e-18), r[5]) for r in rows]
     figure = _scatter(plotted, 0, ("commutator residual", "theta", "residual", [1]),
                       ("bulk accumulation", "theta", "accumulation", [2]))
+    warnings = [_ill_conditioned(f"eigenvalues at steps {', '.join(flagged)} are",
+                                 kappa)] if flagged else []
     return Output("sweep.csv", ["step", "theta", "residual", "verdict", "skew",
-                                "accumulation", "skin_detected"], rows, figure=figure)
+                                "accumulation", "skin_detected"], rows, figure=figure,
+                  warnings=warnings)
 
 
 def cmd_boundary(spec: ModelSpec, args) -> Output:

@@ -20,8 +20,10 @@ them onto the unit circle: open-chain bulk states of this chain stay
 extended.  The loop integral of the band eigenvectors around that circle
 (a discretized Wilson loop over biorthogonal pairs) gives the band's
 geometric phase; +-pi signals the phase with protected end modes.
-`bloch_matrix` takes an array of beta; the Wilson loop is solved in
-blocks of BLOCK grid points, so its eigensolver stacks stay bounded.
+`bloch_matrix` takes an array of beta; the Wilson loop takes one stacked
+`eig` per block of BLOCK grid points, so its eigensolver stacks stay
+bounded, and pairs each right vector with a row of the closed-form 2x2
+inverse of the right-vector matrix, as `spectra.eigendecompose` does.
 """
 
 from __future__ import annotations
@@ -247,13 +249,12 @@ def wilson_loop_phase(lefts, rights) -> float:
 
     `lefts[k]` and `rights[k]` are the 2-vectors at grid point k.  Each
     (left, right) pair must satisfy left . right = 1; the product
-    telescopes, so an extra nonzero scalar per grid point cancels.  The
-    logs are summed in loop order.  Result is mapped to (-pi, pi].
+    telescopes, so an extra nonzero scalar per grid point cancels.
+    Result is mapped to (-pi, pi].
     """
     lefts = np.asarray(lefts, dtype=complex)
     rights = np.roll(np.asarray(rights, dtype=complex), -1, axis=0)
-    total = np.add.accumulate(np.log(_dot(lefts, rights)))[-1]
-    phase = -np.imag(total)
+    phase = -np.imag(np.log(np.einsum("ki,ki->k", lefts, rights)).sum())
     phase = (phase + np.pi) % (2.0 * np.pi) - np.pi
     if phase <= -np.pi:
         phase += 2.0 * np.pi
@@ -275,16 +276,20 @@ def zak_phase(spec: ModelSpec, band: str = "plus", grid: int = 4096,
     """Geometric phase of one band transported once around the unit circle.
 
     The loop lives on beta = e^{2 pi i k / N}.  At each point the 2x2
-    matrix is diagonalized together with its adjoint; the chosen band is
-    followed by eigenvector-overlap continuity and the pair is rescaled
-    to left . right = 1.  The band label fixes the starting member at
-    k = 0: "plus" is the larger real part.  The residual is the largest
-    overlap of the chosen left vector with the other unit right vector.
+    matrix is diagonalized; its left eigenvectors are the rows of the
+    closed-form inverse [[d, -b], [-c, a]] / det of the right-vector
+    matrix [[a, b], [c, d]], so left_i . right_j = delta_ij by
+    construction.  The chosen band is followed by eigenvector-overlap
+    continuity.  The band label fixes the starting member at k = 0:
+    "plus" is the larger real part.  The residual is the largest overlap
+    of the chosen left vector with the other unit right vector, i.e. the
+    rounding of the inverse.
 
-    Blocks of BLOCK points each take one stacked `eig` of H and of its
-    adjoint, so only the loop vectors and the phase sums are O(grid);
-    continuity is an integer scan carried across blocks.
-    Phase, residual and errors are bit for bit a point-by-point loop's.
+    Blocks of BLOCK points each take one stacked `eig`, so only the loop
+    vectors are O(grid); continuity is an integer scan carried across
+    blocks.  The first failing grid point raises BandTouching: a gap at
+    most gap_tol, else a singular right-vector matrix.  Phase and
+    residual agree with a point-by-point two-solve loop to rounding.
 
     With delta = 0 the matrix is diagonal with constant eigenvectors, so
     each internal component is its own band and the loop phase vanishes
@@ -308,19 +313,20 @@ def zak_phase(spec: ModelSpec, band: str = "plus", grid: int = 4096,
     for start in range(0, grid, BLOCK):
         k = np.arange(start, min(start + BLOCK, grid))
         p = np.arange(len(k))
-        H = bloch_matrix(spec, np.exp(1j * (2.0 * np.pi * k / grid)))
-        w, VR = np.linalg.eig(H)
-        cw, WL = np.linalg.eig(H.conj().swapaxes(1, 2))
-        cw = cw.conj()  # reorder the adjoint's vectors so that cw[j] pairs with w[j]
-        flip = (_abs(cw[:, 0] - w[:, 0]) + _abs(cw[:, 1] - w[:, 1])
-                > _abs(cw[:, 0] - w[:, 1]) + _abs(cw[:, 1] - w[:, 0]))
-        WL = np.where(flip[:, None, None], WL[:, :, ::-1], WL)
-        R = VR.swapaxes(1, 2)  # R[p, j] is right vector j
-        Lj = np.ascontiguousarray(WL.swapaxes(1, 2).conj())
-        ov = _dot(Lj, R)
-        Lj /= np.where(ov == 0.0, 1.0, ov)[:, :, None]
+        w, VR = np.linalg.eig(bloch_matrix(spec, np.exp(1j * (2.0 * np.pi * k / grid))))
+        a, b, c, d = VR.reshape(-1, 4).T
+        det = a * d - b * c
+        gap = np.abs(w[:, 0] - w[:, 1])
+        bad = np.flatnonzero((gap <= gap_tol) | (det == 0.0))
+        if bad.size:
+            q = bad[0]
+            if gap[q] <= gap_tol:
+                raise BandTouching(f"band gap {gap[q]:.2e} at grid point {start + q}")
+            raise BandTouching(f"left/right overlap vanished at grid point {start + q}")
+        Lj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2) / det[:, None, None]
+        R = VR.swapaxes(1, 2)  # R[p, j] is right vector j, Lj[p, j] its left row
         prev = np.concatenate([Lj[:1] if carry is None else carry[None], Lj[:-1]])
-        follow = np.argmax(_abs(_dot(prev[:, :, None], R[:, None])), axis=2).tolist()
+        follow = np.argmax(np.abs(prev @ VR), axis=2).tolist()
         if carry is None:  # the band label picks the member at k = 0
             member = int(np.argmax(w[0].real) if band == "plus" else np.argmin(w[0].real))
             follow[0] = [member, member]
@@ -329,27 +335,9 @@ def zak_phase(spec: ModelSpec, band: str = "plus", grid: int = 4096,
             member = f[member]
             sel.append(member)
         sel = np.array(sel)
-        gap = _abs(w[:, 0] - w[:, 1])
-        bad = np.flatnonzero((gap <= gap_tol) | (ov[p, sel] == 0.0))
-        if bad.size:
-            q = bad[0]
-            if gap[q] <= gap_tol:
-                raise BandTouching(f"band gap {gap[q]:.2e} at grid point {start + q}")
-            raise BandTouching(f"left/right overlap vanished at grid point {start + q}")
         other = R[p, 1 - sel]
-        norm = np.sqrt(_dot(other.real, other.real) + _dot(other.imag, other.imag))
-        residual = max(residual, float(_abs(_dot(Lj[p, sel], other / norm[:, None])).max()))
+        cross = np.einsum("pi,pi->p", Lj[p, sel], other) / np.linalg.norm(other, axis=1)
+        residual = max(residual, float(np.abs(cross).max()))
         lefts[k], rights[k], carry = Lj[p, sel], R[p, sel], Lj[-1]
     return ZakResult(band=band, phase=wilson_loop_phase(lefts, rights),
                      grid_points=grid, residual=residual)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis as one stacked matmul: the same BLAS dot
-    as a per-vector `@`, which a summed elementwise product is not."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _abs(z: np.ndarray) -> np.ndarray:
-    """|z| through hypot, as the scalar `abs` (`np.abs` on arrays is not)."""
-    return np.hypot(z.real, z.imag)

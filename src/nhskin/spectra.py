@@ -181,13 +181,11 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
     i, j = i[ep], j[ep]
     parallel = np.zeros(N, dtype=bool)
     parallel[i] = parallel[j] = True
-    near = D < cluster_tol
-    near[i, j] = near[j, i] = True
-    np.fill_diagonal(near, False)
-    linked = np.nonzero(near.any(axis=1))[0]
+    ci, cj = np.nonzero(np.triu(D < cluster_tol, 1))
     defective = []
-    for idx in connected_components(near[np.ix_(linked, linked)]):
-        idx = linked[idx]
+    for idx in connected_components(N, np.concatenate([ci, i]), np.concatenate([cj, j])):
+        if len(idx) < 2:
+            continue
         Rc = right[:, idx]
         Wc = left[idx, :]
         # inv(right) gives a healthy cluster an identity overlap block; an

@@ -160,25 +160,28 @@ def commutator_residual(H: Bonds, S: SymmetryOp) -> float:
     return num / max(float(np.linalg.norm(v)), 1e-300)
 
 
-def connected_components(adj: np.ndarray) -> list[np.ndarray]:
-    """Components of the undirected graph with symmetric boolean adjacency.
+def connected_components(n: int, i, j) -> list[np.ndarray]:
+    """Components of the undirected graph on n nodes with edges (i[k], j[k]).
 
     Each component is an ascending index array; the list is ordered by
-    smallest member.
+    smallest member.  Every node points at a smaller or equal node of its
+    component: each round hooks the root of every edge end onto the
+    smaller root, then jumps pointers until each node points at a root.
+    The fixed point points every node at its component's smallest member.
     """
-    comp = -np.ones(len(adj), dtype=int)
-    ncomp = 0
-    for start in range(len(adj)):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = ncomp
-        while stack:
-            new = np.nonzero(adj[stack.pop()] & (comp < 0))[0]
-            comp[new] = ncomp
-            stack.extend(new)
-        ncomp += 1
-    return [np.nonzero(comp == c)[0] for c in range(ncomp)]
+    i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
+    root = np.arange(n)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[i], root[j])
+        np.minimum.at(hooked, root[j], root[i])
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    order = np.argsort(root, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
 
 def is_reducible(H: Bonds) -> tuple[bool, list[list[int]]]:
@@ -189,9 +192,7 @@ def is_reducible(H: Bonds) -> tuple[bool, list[list[int]]]:
     and returns whether it is disconnected, plus the components.
     """
     nz = np.abs(H.vals) > 1e-14 * max(np.abs(H.vals).max(initial=0.0), 1e-300)
-    adj = np.zeros((H.dim, H.dim), dtype=bool)
-    adj[H.rows[nz], H.cols[nz]] = True
-    components = [c.tolist() for c in connected_components(adj | adj.T)]
+    components = [c.tolist() for c in connected_components(H.dim, H.rows[nz], H.cols[nz])]
     return len(components) > 1, components
 
 

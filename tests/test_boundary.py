@@ -52,17 +52,28 @@ def test_determinant_chain_length_mismatch(six_site_eigenvalues):
 
 
 def test_determinant_invariant_under_column_permutation(six_site_eigenvalues):
+    # the factored Leibniz sum against the LU determinant of the plain
+    # condition matrix, which is in double range at L = 6
     E = six_site_eigenvalues[2] + 0.4
-    M = boundary_matrix(COUPLINGS, E, 6)
-    from nhskin.boundary import _leibniz_terms, _row_scaled
+    M, g = boundary_matrix(COUPLINGS, E, 6)
+    M[2:] *= np.exp(g)
+    from nhskin.boundary import _leibniz_terms
     base = boundary_determinant(COUPLINGS, E, 6)
     rng = np.random.default_rng(1)
     for _ in range(4):
         P = rng.permutation(4)
-        Mp = _row_scaled(M[:, P])
-        terms = _leibniz_terms(Mp)
-        det = np.linalg.det(Mp) / max(max(abs(x) for x in terms), 1e-300)
+        terms = _leibniz_terms(M[:, P], np.zeros(4))
+        det = np.linalg.det(M[:, P]) / max(max(abs(x) for x in terms), 1e-300)
         assert abs(abs(det) - abs(base)) <= 1e-12 * max(abs(base), 1.0)
+
+
+def test_determinant_discriminates_past_double_range():
+    # |beta| ~ 16 here, so beta^L alone is ~1e480 at L = 400
+    chain = COUPLINGS.replace(L=400)
+    evals = np.linalg.eigvals(build_bdg(chain))
+    for E in evals[::40]:
+        assert abs(boundary_determinant(chain, E, 400)) <= 1e-8
+        assert abs(boundary_determinant(chain, E + 0.03 + 0.02j, 400)) >= 1e-3
 
 
 def test_pairing_row_scales_linearly_with_delta():

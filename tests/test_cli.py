@@ -334,6 +334,41 @@ def test_boundary_command(config_path, tmp_path):
         assert float(r[3]) <= 1e-8
 
 
+# The outer |beta| is ~16 on the README chain and ~1.6e5 at gamma 1.99, so
+# beta^L alone leaves double range at these lengths.  The gamma 1.99 chain
+# is nearly one-way (t - gamma/2 = 0.005): its eigenvalues, and the
+# determinant at them, hold only to ~1e-9 already at L = 10.
+@pytest.mark.parametrize("model, L_check, bound", [
+    ({}, 300, 1e-8),
+    ({"gamma": 1.99, "delta": 0.1}, 100, 1e-6),
+], ids=["readme-300", "gamma1.99-100"])
+def test_boundary_past_double_range(config_path, tmp_path, model, L_check, bound):
+    out = str(tmp_path / "out")
+    rc = main(["boundary", "--config", config_path(**model), "--out", out,
+               "--L-check", str(L_check)])
+    assert rc == 0
+    _, rows = read_csv(os.path.join(out, "boundary.csv"))
+    assert len(rows) == 2 * L_check
+    assert max(float(r[3]) for r in rows) <= bound
+
+
+# perfbench seed-0 couplings: steps 2 and 14 of 24 have kappa*eps ~ 1.9e-4
+SEED0_SWEEP = {"gamma": 1.706653110915029, "delta": 0.603181761176121, "V": 2.0, "L": 96}
+
+
+def test_sweep_warns_about_ill_conditioned_steps(config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    rc = main(["sweep-theta", "--config", config_path(**SEED0_SWEEP), "--out", out,
+               "--steps", "24"])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: eigenvalues at steps ")
+    steps = err[0].split("steps ")[1].split(" are ")[0].split(", ")
+    assert {"2", "14"} <= set(steps)
+    kappa = float(err[0].split("max kappa ")[1].split(")")[0])
+    assert 1e-5 < kappa * np.finfo(float).eps < 1e-3
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**REFERENCE_CONFIG, "L": 1}))
@@ -395,8 +430,8 @@ def test_flag_overrides_config(config_path, tmp_path):
     (["symmetry", "--tol", "nan"], 1),
     (["spectrum", "--L", "abc"], 1),
     (["spectrum", "--no-such-flag"], 1),
-    # beta^L leaves double range: gamma near 2t makes the outer roots large
-    (["boundary", "--gamma", "1.99", "--delta", "0.1", "--L-check", "100"], 2),
+    # t = 0 closes the band gap on the unit circle
+    (["zak", "--t", "0", "--gamma", "0.1", "--delta", "0.5"], 2),
     # every size cap, one past it
     (["spectrum", "--L", str(MAX_SITES + 1)], 1),
     (["boundary", "--L-check", str(MAX_SITES + 1)], 1),

@@ -148,6 +148,16 @@ def test_two_site_ring_is_reducible():
     assert red and comps == [[0, 1], [2, 3]]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 0.15))
+def test_reducibility_matches_dense_reference_on_random_graphs(n, seed, density):
+    # edges scattered in random order, so components need several rounds
+    # of hooking and pointer jumping
+    rng = np.random.default_rng(seed)
+    H = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)), 0.0)
+    assert is_reducible(bonds_of(H)) == is_reducible_dense(H)
+
+
 def test_reflection_structure_accepts_mirror_candidates():
     # every candidate's site map is the open-chain mirror, or its ring mirror
     for S in default_candidates(10) + ring_candidates(12):
