@@ -22,6 +22,7 @@ from .symmetry import (
 from .spectra import (
     EigenSystem,
     SkinReport,
+    StateTable,
     classify_states,
     density_profile,
     eigendecompose,
@@ -53,8 +54,8 @@ __all__ = [
     "SymmetryOp", "Verdict", "build_combined",
     "commutator_residual", "default_candidates", "is_reducible",
     "ring_candidates", "theorem_verdict",
-    "EigenSystem", "SkinReport", "classify_states", "density_profile",
-    "eigendecompose", "skin_metrics",
+    "EigenSystem", "SkinReport", "StateTable", "classify_states",
+    "density_profile", "eigendecompose", "skin_metrics",
     "BetaQuartet", "ZakResult", "band_energies", "bloch_matrix",
     "char_poly_residual", "continuum_condition", "gbz_modulus_report",
     "solve_beta", "zak_phase",

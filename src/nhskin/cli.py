@@ -36,8 +36,7 @@ from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalErr
 from .model import MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
 from .nonbloch import band_energies, gbz_modulus_report, zak_phase
 from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
-                      KAPPA_EPS_BOUND, classify_states, density_profile, eigendecompose,
-                      skin_metrics)
+                      KAPPA_EPS_BOUND, classify_states, eigendecompose, skin_metrics)
 from .symmetry import (DEFAULT_TOL, commutator_residual, default_candidates,
                        ring_candidates, theorem_verdict)
 
@@ -135,9 +134,8 @@ def _ill_conditioned(which: str, kappa: float) -> str:
 
 
 def _classified(spec: ModelSpec, args):
-    """Eigensystem, per-state records and conditioning warnings of the chain;
-    a defective cluster has no well-defined states, so per-state output
-    refuses it."""
+    """State table and conditioning warnings of the chain; a defective
+    cluster has no well-defined states, so per-state output refuses it."""
     es = eigendecompose(build_bdg(spec), num_sites=spec.num_sites)
     if es.defective:
         raise DegenerateAmbiguity(
@@ -146,46 +144,44 @@ def _classified(spec: ModelSpec, args):
     flagged = es.ill_conditioned
     warnings = [_ill_conditioned(f"{len(flagged)} of {es.dim} eigenvalues are",
                                  es.condition.max())] if len(flagged) else []
-    return es, classify_states(es, spec.num_sites,
-                               resolve_ell(args, spec.num_sites), args.w_edge), warnings
+    return classify_states(es, spec.num_sites,
+                           resolve_ell(args, spec.num_sites), args.w_edge), warnings
 
 
 def cmd_spectrum(spec: ModelSpec, args) -> Output:
-    es, records, warnings = _classified(spec, args)
-    order = np.lexsort((es.values.imag, es.values.real))
-    rows = []
-    for rank, i in enumerate(order):
-        rec = records[i]
-        rows.append((rank, rec.energy.real, rec.energy.imag, rec.label,
-                     rec.center_of_mass, rec.edge_weight, rec.participation_ratio))
+    st, warnings = _classified(spec, args)
+    order = np.lexsort((st.energy.imag, st.energy.real))
+    rows = list(zip(range(len(order)), st.energy.real[order], st.energy.imag[order],
+                    np.where(st.is_edge[order], "edge", "bulk"), st.center_of_mass[order],
+                    st.edge_weight[order], st.participation_ratio[order]))
     figure = _scatter(rows, 0, ("Re E per state", "state index", "Re E", [1]),
                       ("Im E per state", "state index", "Im E", [2]))
     return Output("spectrum.csv", ["index", "re_E", "im_E", "class", "com", "edge_weight",
                                    "pr"], rows, figure=figure, warnings=warnings)
 
 
-def parse_selection(selection: str, records) -> list[int]:
+def parse_selection(selection: str, st) -> list[int]:
     if selection == "edge:all":
-        return [r.index for r in records if r.label == "edge"]
+        return np.flatnonzero(st.is_edge).tolist()
     try:
         if selection.startswith("bulk:"):
-            return _bulk_quantiles(records, int(selection[len("bulk:"):]))
+            return _bulk_quantiles(st, int(selection[len("bulk:"):]))
         idx = [int(s) for s in selection.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise SelectionOutOfRange(f"bad selection {selection!r}") from exc
     for i in idx:
-        if not (0 <= i < len(records)):
+        if not (0 <= i < len(st.energy)):
             raise SelectionOutOfRange(f"state index {i} out of range")
     return idx
 
 
-def _bulk_quantiles(records, k: int) -> list[int]:
+def _bulk_quantiles(st, k: int) -> list[int]:
     """k bulk-classified states at quantiles of Re E, without repeats."""
-    bulk = [r.index for r in records if r.label == "bulk"]
-    if k < 1 or not bulk:
+    bulk = np.flatnonzero(~st.is_edge)
+    if k < 1 or not len(bulk):
         raise SelectionOutOfRange(f"cannot take {k} bulk states")
-    ordered = sorted(bulk, key=lambda i: (records[i].energy.real,
-                                          records[i].energy.imag))
+    E = st.energy[bulk]
+    ordered = bulk[np.lexsort((E.imag, E.real))].tolist()
     if k >= len(ordered):
         return ordered
     picks = [ordered[int(round(q * (len(ordered) - 1)))]
@@ -194,17 +190,15 @@ def _bulk_quantiles(records, k: int) -> list[int]:
 
 
 def cmd_profiles(spec: ModelSpec, args) -> Output:
-    es, records, warnings = _classified(spec, args)
+    st, warnings = _classified(spec, args)
     L = spec.num_sites
-    chosen = parse_selection(args.selection, records)
-    profs = [density_profile(es.right[:, i], L) for i in chosen]
-    rows = [(i, n + 1, prof.site_density[n])
-            for i, prof in zip(chosen, profs) for n in range(L)]
+    chosen = parse_selection(args.selection, st)
+    rows = [(i, n + 1, st.density[i, n]) for i in chosen for n in range(L)]
 
     def figure():
         panels = svgplot.panel_grid(1, ["state densities"], ["site"], ["density"])
-        for prof in profs:
-            panels[0].line(range(1, L + 1), prof.site_density)
+        for i in chosen:
+            panels[0].line(range(1, L + 1), st.density[i])
         return panels
     return Output("profiles.csv", ["state_index", "site", "density"], rows,
                   figure=figure, warnings=warnings)
@@ -316,7 +310,6 @@ THRESHOLDS = (
     ("--edge-sites", {"type": int, "default": None,
                       "help": "edge window (default min(10, L//2))"}),
     ("--w-edge", {"type": float, "default": DEFAULT_EDGE_WEIGHT}),
-    ("--tau-skin", {"type": float, "default": DEFAULT_TAU_SKIN}),
 )
 
 # (name, function, help, flags beyond --config, --out and the model flags)
@@ -333,7 +326,8 @@ COMMANDS = (
      (("--band", {"choices": ["plus", "minus"], "default": "plus"}),
       ("--grid", {"type": _int_in(64, MAX_GRID), "default": 4096}))),
     ("sweep-theta", cmd_sweep_theta, "potential-phase sweep: symmetry vs skin",
-     SVG + THRESHOLDS + TOL + (("--steps", {"type": _int_in(6, MAX_STEPS), "default": 24}),)),
+     SVG + THRESHOLDS + TOL + (("--tau-skin", {"type": float, "default": DEFAULT_TAU_SKIN}),
+                               ("--steps", {"type": _int_in(6, MAX_STEPS), "default": 24}))),
     ("boundary", cmd_boundary, "finite-chain determinant oracle",
      SVG + (("--L-check", {"type": _int_in(2, MAX_SITES), "default": 6}),)),
 )

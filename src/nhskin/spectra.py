@@ -17,14 +17,15 @@ non-reciprocal chains have exponentially large kappa, so their computed
 spectrum is only good to about kappa * eps relative to |H|; states past
 KAPPA_EPS_BOUND are flagged (`EigenSystem.ill_conditioned`).
 
-Localization is quantified per state by the site density folded over
-internal components, its center of mass, the weight in the outermost
-sites, and the participation ratio.  The skin diagnostic aggregates the
-center-of-mass displacements of bulk states; both the signed mean and
-the mean magnitude are reported, the latter because the doubled chain
-piles states on *both* ends when its reflection symmetry is broken (the
-two internal components have opposite hopping asymmetry), which a
-signed mean cancels to zero.
+Localization is computed for all states in one array pass
+(`classify_states` returns a `StateTable` of arrays): each state's site
+density folded over internal components, its center of mass, the weight
+in the outermost sites, and the participation ratio.  The skin
+diagnostic aggregates the center-of-mass displacements of bulk states;
+both the signed mean and the mean magnitude are reported, the latter
+because the doubled chain piles states on *both* ends when its
+reflection symmetry is broken (the two internal components have
+opposite hopping asymmetry), which a signed mean cancels to zero.
 """
 
 from __future__ import annotations
@@ -98,37 +99,30 @@ class EigenSystem:
 
 
 @dataclass
-class DensityProfile:
-    site_density: np.ndarray
-    center_of_mass: float
-    participation_ratio: float
+class StateTable:
+    """Localization of every state as arrays; index i is eigenvalue i.
 
-    def edge_weight(self, ell: int) -> float:
-        L = len(self.site_density)
-        return float(self.site_density[:ell].sum() + self.site_density[L - ell:].sum())
+    `density` is (n, L), each row a state's site density normalized to
+    one; `is_edge` marks states whose outer-ell-site weight exceeds w_edge.
+    """
 
-
-@dataclass
-class StateRecord:
-    index: int
-    energy: complex
-    center_of_mass: float
-    edge_weight: float
-    participation_ratio: float
-    label: str  # "bulk" or "edge"
+    energy: np.ndarray
+    density: np.ndarray
+    center_of_mass: np.ndarray
+    participation_ratio: np.ndarray
+    edge_weight: np.ndarray
+    is_edge: np.ndarray
 
 
 @dataclass
 class SkinReport:
-    per_state: list[StateRecord]
     skew: float
     accumulation: float
     skin_detected: bool
     tau_skin: float
 
 
-def eigendecompose(H: np.ndarray, num_sites: int | None = None,
-                   cluster_tol: float = CLUSTER_TOL) -> EigenSystem:
+def eigendecompose(H: np.ndarray, num_sites: int | None = None) -> EigenSystem:
     """Full biorthogonal eigensystem of a dense matrix.
 
     Parameters
@@ -138,8 +132,9 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
     num_sites : number of lattice sites L when H is the doubled 2L x 2L
         matrix; used to fold the position observable that disentangles
         degenerate clusters.  None treats each matrix index as a site.
-    cluster_tol : eigenvalues closer than this are handled as one
-        degenerate cluster.
+
+    Eigenvalues closer than CLUSTER_TOL are handled as one degenerate
+    cluster.
 
     Raises
     ------
@@ -181,7 +176,7 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
     i, j = i[ep], j[ep]
     parallel = np.zeros(N, dtype=bool)
     parallel[i] = parallel[j] = True
-    ci, cj = np.nonzero(np.triu(D < cluster_tol, 1))
+    ci, cj = np.nonzero(np.triu(D < CLUSTER_TOL, 1))
     defective = []
     for idx in connected_components(N, np.concatenate([ci, i]), np.concatenate([cj, j])):
         if len(idx) < 2:
@@ -224,63 +219,55 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None,
                        defective=defective)
 
 
-def density_profile(state: np.ndarray, num_sites: int) -> DensityProfile:
-    """Per-site density of a state vector, folded over internal components.
+def density_profile(vectors: np.ndarray, num_sites: int):
+    """Per-site densities of column vectors, folded over internal components.
 
-    Accepts a bare L-vector or a doubled 2L-vector whose halves are the
-    two internal components of each site.
+    `vectors` is a (dim, n) matrix of column vectors (a 1-D vector is one
+    column) with dim = L, or 2L for doubled vectors whose halves are the
+    two internal components of each site.  Returns (density (n, L), center
+    of mass (n,), participation ratio (n,)), each density row normalized.
     """
-    v = np.asarray(state).ravel()
-    if len(v) == 2 * num_sites:
-        rho = np.abs(v[:num_sites]) ** 2 + np.abs(v[num_sites:]) ** 2
-    elif len(v) == num_sites:
-        rho = np.abs(v) ** 2
+    R = np.asarray(vectors)
+    # one C-contiguous row per state: each reduction below runs along a row
+    mod2 = np.abs(np.ascontiguousarray(R.reshape(len(R), -1).T)) ** 2
+    if mod2.shape[1] == 2 * num_sites:
+        rho = mod2[:, :num_sites] + mod2[:, num_sites:]
+    elif mod2.shape[1] == num_sites:
+        rho = mod2
     else:
-        raise DimMismatch(f"vector length {len(v)} does not match {num_sites} sites")
-    total = rho.sum()
-    if total <= 0.0 or not np.isfinite(total):
+        raise DimMismatch(f"vector length {mod2.shape[1]} does not match {num_sites} sites")
+    total = rho.sum(axis=1)
+    if not (np.isfinite(total) & (total > 0.0)).all():
         raise ZeroVector("state vector has zero or non-finite norm")
-    rho = rho / total
-    sites = np.arange(1, num_sites + 1)
-    com = float((sites * rho).sum())
-    pr = float(1.0 / (rho ** 2).sum())
-    return DensityProfile(site_density=rho, center_of_mass=com,
-                          participation_ratio=pr)
+    rho = rho / total[:, None]
+    com = (np.arange(1, num_sites + 1) * rho).sum(axis=1)
+    return rho, com, 1.0 / (rho ** 2).sum(axis=1)
 
 
 def classify_states(es: EigenSystem, num_sites: int,
                     ell: int = DEFAULT_EDGE_SITES,
-                    w_edge: float = DEFAULT_EDGE_WEIGHT) -> list[StateRecord]:
-    """Label each state "edge" when its outer-ell-site weight exceeds w_edge."""
+                    w_edge: float = DEFAULT_EDGE_WEIGHT) -> StateTable:
+    """State table of the eigensystem; a state is an edge state when its
+    outer-ell-site weight exceeds w_edge."""
     if not (1 <= ell <= num_sites // 2):
         raise ConfigError(f"ell must lie in [1, L/2], got {ell}")
     if not (0.0 <= w_edge <= 1.0):
         raise ConfigError(f"w_edge must lie in [0, 1], got {w_edge}")
-    out = []
-    for i in range(es.dim):
-        prof = density_profile(es.right[:, i], num_sites)
-        ew = prof.edge_weight(ell)
-        out.append(StateRecord(
-            index=i,
-            energy=complex(es.values[i]),
-            center_of_mass=prof.center_of_mass,
-            edge_weight=ew,
-            participation_ratio=prof.participation_ratio,
-            label="edge" if ew > w_edge else "bulk",
-        ))
-    return out
+    rho, com, pr = density_profile(es.right, num_sites)
+    edge = rho[:, :ell].sum(axis=1) + rho[:, num_sites - ell:].sum(axis=1)
+    return StateTable(energy=es.values, density=rho, center_of_mass=com,
+                      participation_ratio=pr, edge_weight=edge, is_edge=edge > w_edge)
 
 
 def skin_metrics(es: EigenSystem, num_sites: int,
                  tau_skin: float = DEFAULT_TAU_SKIN,
                  ell: int = DEFAULT_EDGE_SITES,
-                 w_edge: float = DEFAULT_EDGE_WEIGHT,
-                 zero_mode_rtol: float = ZERO_MODE_RTOL) -> SkinReport:
+                 w_edge: float = DEFAULT_EDGE_WEIGHT) -> SkinReport:
     """Aggregate skin diagnostic over the bulk states.
 
     Topological end modes are excluded from the bulk set: a state counts
     as one when it is edge-localized *and* its energy sits at zero within
-    zero_mode_rtol relative to the spectral radius (end modes of the
+    ZERO_MODE_RTOL relative to the spectral radius (end modes of the
     doubled chain are zero modes; skin-localized bulk states are not).
     skew is the signed mean of (com - center)/(L/2) over bulk states,
     accumulation the mean magnitude; detection uses the magnitude since
@@ -288,25 +275,16 @@ def skin_metrics(es: EigenSystem, num_sites: int,
     """
     if not (0.0 < tau_skin < 1.0):
         raise ConfigError(f"tau_skin must lie in (0, 1), got {tau_skin}")
-    records = classify_states(es, num_sites, ell, w_edge)
+    st = classify_states(es, num_sites, ell, w_edge)
     scale = max(np.abs(es.values).max(), 1e-300)
-    center = (num_sites + 1) / 2.0
-    half = num_sites / 2.0
-    disp = []
-    for rec in records:
-        topological = rec.label == "edge" and abs(rec.energy) <= zero_mode_rtol * scale
-        if not topological:
-            disp.append((rec.center_of_mass - center) / half)
-    if not disp:
+    bulk = ~(st.is_edge & (np.abs(st.energy) <= ZERO_MODE_RTOL * scale))
+    if not bulk.any():
         raise NoBulkStates("all states were classified as topological end modes")
-    disp = np.array(disp)
-    skew = float(disp.mean())
+    disp = (st.center_of_mass[bulk] - (num_sites + 1) / 2.0) / (num_sites / 2.0)
     accumulation = float(np.abs(disp).mean())
     return SkinReport(
-        per_state=records,
-        skew=skew,
+        skew=float(disp.mean()),
         accumulation=accumulation,
         skin_detected=bool(accumulation > tau_skin),
         tau_skin=tau_skin,
     )
-

@@ -4,7 +4,8 @@ Each function here is a slow, one-point-at-a-time or dense form of a
 routine in `nhskin`: the per-point loops check the batched code, bit
 for bit (`==`) where the arithmetic is the same and to a tolerance for
 the Wilson loop, whose left vectors come from a different solve; the
-dense model builder, reflections and reducibility test are the
+per-vector density profile checks the array pass of `classify_states`;
+the dense model builder, reflections and reducibility test are the
 references for the bond-list code.
 """
 
@@ -98,6 +99,19 @@ def zak_phase_loop(spec, band: str = "plus", grid: int = 4096,
         rights.append(r)
         prev_left = l
     return wilson_loop_phase_loop(lefts, rights), cross_defect
+
+
+def density_profile_loop(state: np.ndarray, num_sites: int):
+    """Site density, center of mass and participation ratio of one state
+    vector (length L, or 2L folded over its two halves)."""
+    v = np.asarray(state).ravel()
+    if len(v) == 2 * num_sites:
+        rho = np.abs(v[:num_sites]) ** 2 + np.abs(v[num_sites:]) ** 2
+    else:
+        rho = np.abs(v) ** 2
+    rho = rho / rho.sum()
+    sites = np.arange(1, num_sites + 1)
+    return rho, float((sites * rho).sum()), float(1.0 / (rho ** 2).sum())
 
 
 def build_single_particle(spec) -> np.ndarray:

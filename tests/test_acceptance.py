@@ -61,24 +61,23 @@ def test_criterion_01_symmetry_commutation():
 
 
 def test_criterion_02_blocked_skin_effect(reference_es):
-    records = classify_states(reference_es, 100, ell=10, w_edge=0.9)
-    bulk = [r for r in records if r.label == "bulk"]
+    st = classify_states(reference_es, 100, ell=10, w_edge=0.9)
+    min_pr = st.participation_ratio[~st.is_edge].min()
     rep = skin_metrics(reference_es, 100, tau_skin=0.25)
-    ok = (min(r.participation_ratio for r in bulk) >= 0.1 * 100
+    ok = (min_pr >= 0.1 * 100
           and abs(rep.skew) <= 0.05
           and not rep.skin_detected)
     report(2, "blocked skin effect", ok,
-           f"minPR={min(r.participation_ratio for r in bulk):.1f} "
+           f"minPR={min_pr:.1f} "
            f"skew={rep.skew:.2e} detected={rep.skin_detected}")
 
 
 def test_criterion_03_edge_modes(reference_es):
-    records = classify_states(reference_es, 100, ell=10, w_edge=0.9)
-    edge = [r for r in records if r.edge_weight > 0.9]
-    coms = sorted(r.center_of_mass for r in edge)
-    ok = len(edge) == 2 and coms[0] < 10.0 and coms[1] > 91.0
+    st = classify_states(reference_es, 100, ell=10, w_edge=0.9)
+    coms = sorted(st.center_of_mass[st.edge_weight > 0.9])
+    ok = len(coms) == 2 and coms[0] < 10.0 and coms[1] > 91.0
     report(3, "two opposite edge modes", ok,
-           f"n={len(edge)} coms={[round(c, 2) for c in coms]}")
+           f"n={len(coms)} coms={[round(float(c), 2) for c in coms]}")
 
 
 def test_criterion_04_pair_product_invariant():

@@ -281,6 +281,15 @@ def test_sweep_rejects_too_few_steps(config_path, tmp_path):
     assert rc == 1
 
 
+def test_sweep_reads_tau_skin(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    rc = main(["sweep-theta", "--config", config_path(V=2.0, L=24),
+               "--out", out, "--steps", "8", "--tau-skin", "0.999"])
+    assert rc == 0
+    _, rows = read_csv(os.path.join(out, "sweep.csv"))
+    assert all(r[6] == "false" for r in rows)
+
+
 def test_sweep_runs_through_a_defective_cluster(config_path, tmp_path):
     out = str(tmp_path / "out")
     rc = main(["sweep-theta", "--config", config_path(**DEFECTIVE_CONFIG),
@@ -336,8 +345,9 @@ def test_boundary_command(config_path, tmp_path):
 
 # The outer |beta| is ~16 on the README chain and ~1.6e5 at gamma 1.99, so
 # beta^L alone leaves double range at these lengths.  The gamma 1.99 chain
-# is nearly one-way (t - gamma/2 = 0.005): its eigenvalues, and the
-# determinant at them, hold only to ~1e-9 already at L = 10.
+# is nearly one-way (t - gamma/2 = 0.005): its eigenvalues agree with
+# 40-digit references to ~5e-15, but the determinant's own rounding puts
+# its floor near 1e-9 already at L = 10.
 @pytest.mark.parametrize("model, L_check, bound", [
     ({}, 300, 1e-8),
     ({"gamma": 1.99, "delta": 0.1}, 100, 1e-6),
@@ -430,6 +440,10 @@ def test_flag_overrides_config(config_path, tmp_path):
     (["symmetry", "--tol", "nan"], 1),
     (["spectrum", "--L", "abc"], 1),
     (["spectrum", "--no-such-flag"], 1),
+    # only sweep-theta runs the skin test, so only it takes its threshold
+    (["spectrum", "--tau-skin", "0.3"], 1),
+    (["profiles", "--tau-skin", "0.3"], 1),
+    (["sweep-theta", "--steps", "6", "--tau-skin", "1.5"], 1),
     # t = 0 closes the band gap on the unit circle
     (["zak", "--t", "0", "--gamma", "0.1", "--delta", "0.5"], 2),
     # every size cap, one past it

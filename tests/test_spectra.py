@@ -16,7 +16,8 @@ from nhskin import (
 )
 from nhskin.errors import ZeroVector
 from nhskin.spectra import CLUSTER_TOL, EP_OVERLAP_TOL, KAPPA_EPS_BOUND
-from oracles import build_single_particle, negation_distance, pbc_spectrum, set_distance
+from oracles import (build_single_particle, density_profile_loop, negation_distance,
+                     pbc_spectrum, set_distance)
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -131,35 +132,33 @@ def test_degenerate_zero_modes_are_disentangled(reference_es):
     # the two zero modes come out localized at opposite ends, not mixed
     idx = np.nonzero(np.abs(reference_es.values) < 1e-8)[0]
     assert len(idx) == 2
-    coms = sorted(
-        density_profile(reference_es.right[:, i], 100).center_of_mass for i in idx
-    )
+    coms = sorted(density_profile(reference_es.right[:, idx], 100)[1])
     assert coms[0] < 10.0 and coms[1] > 91.0
 
 
 def test_density_profile_uniform():
-    prof = density_profile(np.ones(10), 10)
-    assert np.abs(prof.site_density - 0.1).max() <= 1e-15
-    assert abs(prof.center_of_mass - 5.5) <= 1e-12
-    assert abs(prof.participation_ratio - 10.0) <= 1e-9
-    assert abs(prof.site_density.sum() - 1.0) <= 1e-12
+    rho, com, pr = density_profile(np.ones((10, 1)), 10)
+    assert np.abs(rho[0] - 0.1).max() <= 1e-15
+    assert abs(com[0] - 5.5) <= 1e-12
+    assert abs(pr[0] - 10.0) <= 1e-9
+    assert abs(rho[0].sum() - 1.0) <= 1e-12
 
 
 def test_density_profile_delta_localized():
-    v = np.zeros(10)
+    v = np.zeros((10, 1))
     v[0] = 2.0
-    prof = density_profile(v, 10)
-    assert prof.center_of_mass == 1.0
-    assert prof.edge_weight(1) == 1.0
-    assert abs(prof.participation_ratio - 1.0) <= 1e-12
+    rho, com, pr = density_profile(v, 10)
+    assert com[0] == 1.0
+    assert rho[0, :1].sum() + rho[0, -1:].sum() == 1.0
+    assert abs(pr[0] - 1.0) <= 1e-12
 
 
 def test_density_profile_folds_doubled_vector():
-    v = np.zeros(8, dtype=complex)
+    v = np.zeros((8, 1), dtype=complex)
     v[0] = 1.0   # site 1, first component
     v[4] = 1.0   # site 1, second component
-    prof = density_profile(v, 4)
-    assert prof.site_density[0] == 1.0
+    rho, _, _ = density_profile(v, 4)
+    assert rho[0, 0] == 1.0
 
 
 def test_density_profile_zero_vector():
@@ -170,21 +169,48 @@ def test_density_profile_zero_vector():
         density_profile(np.ones(7), 10)
 
 
+def test_density_profile_rejects_one_zero_column():
+    R = np.random.default_rng(5).standard_normal((20, 6))
+    R[:, 3] = 0.0
+    with pytest.raises(ZeroVector):
+        density_profile(R, 10)
+
+
+@pytest.mark.parametrize("spec, doubled", [
+    (REFERENCE, True),
+    (REFERENCE.replace(V=2.0, theta=0.3, L=60), True),
+    (ModelSpec(t=1.0, gamma=1.5, num_sites=40), False),
+    (REFERENCE.replace(V=2.0, theta=0.3, L=48, boundary=PBC), True),
+], ids=["blocked", "broken", "single-particle", "pbc-ring"])
+def test_classification_matches_per_state_loop(spec, doubled):
+    L = spec.num_sites
+    H = build_bdg(spec) if doubled else build_single_particle(spec)
+    es = eigendecompose(H, num_sites=L if doubled else None)
+    st = classify_states(es, L, ell=10, w_edge=0.9)
+    rows = [density_profile_loop(es.right[:, i], L) for i in range(es.dim)]
+    density = np.array([r[0] for r in rows])
+    edge = np.array([rho[:10].sum() + rho[L - 10:].sum() for rho in density])
+    assert np.array_equal(st.energy, es.values)
+    assert np.array_equal(st.density, density)
+    assert np.array_equal(st.center_of_mass, [r[1] for r in rows])
+    assert np.array_equal(st.participation_ratio, [r[2] for r in rows])
+    assert np.array_equal(st.edge_weight, edge)
+    assert np.array_equal(st.is_edge, edge > 0.9)
+
+
 def test_classification_reference_chain(reference_es):
-    records = classify_states(reference_es, 100, ell=10, w_edge=0.9)
-    edge = [r for r in records if r.label == "edge"]
-    assert len(edge) == 2
-    coms = sorted(r.center_of_mass for r in edge)
+    st = classify_states(reference_es, 100, ell=10, w_edge=0.9)
+    assert st.is_edge.sum() == 2
+    coms = sorted(st.center_of_mass[st.is_edge])
     assert coms[0] < 10.0 and coms[1] > 91.0
-    bulk = [r for r in records if r.label == "bulk"]
-    assert min(r.participation_ratio for r in bulk) >= 0.1 * 100
+    assert st.participation_ratio[~st.is_edge].min() >= 0.1 * 100
 
 
 def test_classification_trivial_chain_has_no_edge_states():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.0, num_sites=30)
     es = eigendecompose(build_single_particle(spec))
-    records = classify_states(es, 30)
-    assert all(r.label == "bulk" for r in records)
+    st = classify_states(es, 30)
+    assert not st.is_edge.any()
 
 
 def test_classification_asymmetric_chain_piles_up():
@@ -192,10 +218,9 @@ def test_classification_asymmetric_chain_piles_up():
     # squeezed into the first few sites
     spec = ModelSpec(t=1.0, gamma=1.5, num_sites=40)
     es = eigendecompose(build_single_particle(spec))
-    records = classify_states(es, 40, ell=10, w_edge=0.9)
-    edge = [r for r in records if r.label == "edge"]
-    assert len(edge) > 35
-    assert all(r.center_of_mass < 20.0 for r in edge)
+    st = classify_states(es, 40, ell=10, w_edge=0.9)
+    assert st.is_edge.sum() > 35
+    assert (st.center_of_mass[st.is_edge] < 20.0).all()
 
 
 def test_skin_metrics_reference_chain(reference_es):
