@@ -40,7 +40,6 @@ from .nonbloch import (
     zak_phase,
 )
 from .boundary import (
-    BoundaryCoeffs,
     boundary_coeffs,
     boundary_determinant,
     boundary_matrix,
@@ -59,6 +58,6 @@ __all__ = [
     "BetaQuartet", "ZakResult", "band_energies", "bloch_matrix",
     "char_poly_residual", "continuum_condition", "gbz_modulus_report",
     "solve_beta", "zak_phase",
-    "BoundaryCoeffs", "boundary_coeffs", "boundary_determinant",
+    "boundary_coeffs", "boundary_determinant",
     "boundary_matrix", "continuum_ratio",
 ]

@@ -32,7 +32,7 @@ import numpy as np
 from . import svgplot
 from .boundary import boundary_determinant, continuum_ratio
 from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalError,
-                     SelectionOutOfRange, UnsupportedPotential, WrongCase)
+                     SelectionOutOfRange, UnsupportedPotential)
 from .model import MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
 from .nonbloch import band_energies, gbz_modulus_report, zak_phase
 from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
@@ -169,9 +169,13 @@ def parse_selection(selection: str, st) -> list[int]:
         idx = [int(s) for s in selection.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise SelectionOutOfRange(f"bad selection {selection!r}") from exc
+    if not idx:
+        raise SelectionOutOfRange(f"selection {selection!r} names no state")
     for i in idx:
         if not (0 <= i < len(st.energy)):
             raise SelectionOutOfRange(f"state index {i} out of range")
+    if len(set(idx)) < len(idx):
+        raise SelectionOutOfRange(f"selection {selection!r} repeats a state index")
     return idx
 
 
@@ -217,11 +221,9 @@ def cmd_gbz(spec: ModelSpec, args) -> Output:
     cand = band_energies(spec, max(args.num_energies, 8))
     cand = cand[np.lexsort((cand.imag, cand.real))]
     picks = np.unique(np.round(np.linspace(0, len(cand) - 1, args.num_energies)).astype(int))
-    rows = []
-    for rep in gbz_modulus_report(spec, cand[picks]):
-        m = rep["moduli"]
-        rows.append((rep["energy"].real, rep["energy"].imag,
-                     m[0], m[1], m[2], m[3], rep["case"], rep["mid_gap"]))
+    q = gbz_modulus_report(spec, cand[picks])
+    rows = list(zip(q.energy.real, q.energy.imag, *q.sorted_moduli.T, q.continuum_case,
+                    q.mid_modulus_gap))
     return Output("gbz.csv", ["re_E", "im_E", "m1", "m2", "m3", "m4", "case", "mid_gap"], rows,
                   figure=_scatter(rows, 0, ("decay-factor moduli", "Re E", "|beta|", [2, 3, 4, 5])))
 
@@ -276,16 +278,10 @@ def cmd_boundary(spec: ModelSpec, args) -> Output:
     L = args.L_check
     chain = spec.replace(L=L, boundary=OBC)
     evals = np.linalg.eigvals(build_bdg(chain))
-    rows = []
-    for E in evals[np.lexsort((evals.imag, evals.real))]:
-        E = complex(E)
-        det = boundary_determinant(chain, E, L)
-        try:
-            lhs, rhs = continuum_ratio(chain, E, L)
-            lhs_abs, rhs_abs = abs(lhs), abs(rhs)
-        except (WrongCase, NumericalError):
-            lhs_abs, rhs_abs = float("nan"), float("nan")
-        rows.append((E.real, E.imag, L, abs(det), lhs_abs, rhs_abs))
+    E = evals[np.lexsort((evals.imag, evals.real))]
+    norm_det = np.abs(boundary_determinant(chain, E, L))
+    lhs, rhs = continuum_ratio(chain, E, L)
+    rows = list(zip(E.real, E.imag, [L] * len(E), norm_det, np.abs(lhs), np.abs(rhs)))
     return Output("boundary.csv", ["re_E", "im_E", "L", "norm_det", "lhs_abs", "rhs_abs"], rows,
                   figure=_scatter(rows, 0, ("determinant at eigenvalues", "Re E",
                                             "normalized |det|", [3])))

@@ -93,10 +93,6 @@ class SingularDenominator(NumericalError):
     """An end-condition coefficient denominator is numerically zero."""
 
 
-class WrongCase(NumericalError):
-    """Neither modulus ordering holds; the ratio relation does not apply."""
-
-
 # --- CLI ----------------------------------------------------------------
 
 class SelectionOutOfRange(ConfigError):

@@ -20,7 +20,8 @@ them onto the unit circle: open-chain bulk states of this chain stay
 extended.  The loop integral of the band eigenvectors around that circle
 (a discretized Wilson loop over biorthogonal pairs) gives the band's
 geometric phase; +-pi signals the phase with protected end modes.
-`bloch_matrix` takes an array of beta; the Wilson loop takes one stacked
+`bloch_matrix` takes an array of beta and `solve_beta` an array of
+energies, returning an (n, 4) root array; the Wilson loop takes one stacked
 `eig` per block of BLOCK grid points, so its eigensolver stacks stay
 bounded, and pairs each right vector with a row of the closed-form 2x2
 inverse of the right-vector matrix, as `spectra.eigendecompose` does.
@@ -56,24 +57,27 @@ BLOCK = 1024
 
 @dataclass
 class BetaQuartet:
-    """The four spatial decay factors at a given energy.
+    """The four spatial decay factors at each of n energies.
 
-    roots maps the branch labels 1+/2+/1-/2- to the roots; within each
-    x-branch, label 1 is the root of smaller modulus.  sorted_moduli is
-    ascending; mid_modulus_gap = |m2 - m3|.  degenerate_leading marks the
+    roots[:, j] is branch BRANCH_ORDER[j]; within each x-branch, label 1
+    is the root of smaller modulus.  sorted_moduli is ascending along
+    each row; mid_modulus_gap = |m3 - m2|.  degenerate_leading marks the
     measure-zero parameter line where the quartic collapses to a single
-    quadratic (two roots only, stored on the '+' branch).
+    quadratic: its two roots are on the '+' branch and the '-' columns,
+    the two largest moduli and the gap are NaN.
     """
 
-    energy: complex
-    roots: dict[str, complex]
+    energy: np.ndarray
+    roots: np.ndarray
     sorted_moduli: np.ndarray
-    continuum_case: str
-    mid_modulus_gap: float
+    continuum_case: np.ndarray
+    mid_modulus_gap: np.ndarray
     degenerate_leading: bool = False
 
-    def root_array(self) -> np.ndarray:
-        return np.array([self.roots[k] for k in BRANCH_ORDER if k in self.roots])
+    @property
+    def mid_deviation(self) -> np.ndarray:
+        """GBZ deviation max(|m2 - 1|, |m3 - 1|) per energy; NaN if degenerate."""
+        return np.abs(self.sorted_moduli[:, 1:3] - 1.0).max(axis=1)
 
 
 def _leading_coeff(spec: ModelSpec) -> float:
@@ -97,12 +101,13 @@ def bloch_matrix(spec: ModelSpec, beta) -> np.ndarray:
     return np.moveaxis(H, (0, 1), (-2, -1))
 
 
-def char_poly_residual(spec: ModelSpec, E: complex, beta: complex) -> complex:
+def char_poly_residual(spec: ModelSpec, E, beta):
     """The characteristic expression; zero iff (E, beta) is on shell.
 
     Equals det[H(beta) - E I] identically, which the tests cross-check.
+    E and beta broadcast against each other.
     """
-    if beta == 0:
+    if np.any(beta == 0):
         raise ZeroBeta("beta must be nonzero")
     a = _leading_coeff(spec)
     bi = 1.0 / beta
@@ -118,33 +123,31 @@ def quartic_coefficients(spec: ModelSpec, E: complex) -> list[complex]:
             -E * spec.gamma, a]
 
 
-def continuum_condition(q: BetaQuartet, rtol: float = MID_EQUAL_RTOL) -> str:
-    """Which modulus ordering with equal middle pair holds, if any.
+def continuum_condition(roots: np.ndarray) -> np.ndarray:
+    """Which branch pair, if any, is the equal-modulus middle pair, per row
+    of an (n, 4) root array in BRANCH_ORDER.
 
-    case1: the '-' branch pair sits in the middle with equal moduli;
-    case2: the '+' branch pair does.  Equality is relative to the larger
-    of the two middle moduli.
+    case1: the '-' pair's moduli are equal; case2: the '+' pair's are.
+    Equality is relative to the larger of the two.  Each pair multiplies
+    to -1, so an equal pair sits at modulus 1 with the other pair's
+    moduli on either side of it: it is the middle pair by rank.  When
+    both pairs are equal, case1 is reported.  NaN roots give neither.
     """
-    if q.degenerate_leading or len(q.roots) < 4:
-        return CASE_NEITHER
-    mods = {k: abs(v) for k, v in q.roots.items()}
-    slack = 1.0 + rtol
-
-    def ordered(lo, mid_a, mid_b, hi):
-        equal = abs(mods[mid_a] - mods[mid_b]) <= rtol * max(mods[mid_a], mods[mid_b])
-        below = mods[lo] <= min(mods[mid_a], mods[mid_b]) * slack
-        above = mods[hi] * slack >= max(mods[mid_a], mods[mid_b])
-        return equal and below and above
-
-    if ordered("1+", "1-", "2-", "2+"):
-        return CASE_MINUS_MIDDLE
-    if ordered("1-", "1+", "2+", "2-"):
-        return CASE_PLUS_MIDDLE
-    return CASE_NEITHER
+    # labels 1 and 2 of each branch; column 0 is the '+' branch, 1 the '-'
+    one, two = np.abs(roots[:, 0::2]), np.abs(roots[:, 1::2])
+    equal = np.abs(one - two) <= MID_EQUAL_RTOL * np.maximum(one, two)
+    return np.where(equal[:, 1], CASE_MINUS_MIDDLE,
+                    np.where(equal[:, 0], CASE_PLUS_MIDDLE, CASE_NEITHER))
 
 
-def solve_beta(spec: ModelSpec, E: complex) -> BetaQuartet:
-    """Solve the quartic for the four decay factors at energy E.
+def _degenerate(spec: ModelSpec) -> bool:
+    """On the line delta^2 - t^2 + gamma^2/4 = 0, relative to the couplings."""
+    scale = max(spec.delta ** 2, spec.t ** 2, spec.gamma ** 2 / 4.0, 1e-300)
+    return abs(_leading_coeff(spec)) <= 1e-14 * scale
+
+
+def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
+    """Solve the quartic for the four decay factors at each energy of E.
 
     Goes through the x = beta - beta^-1 substitution: a quadratic for x
     (both square-root signs retained, so the branch cut drops out), then
@@ -154,49 +157,31 @@ def solve_beta(spec: ModelSpec, E: complex) -> BetaQuartet:
     and the result flagged instead of silently perturbing.
     """
     validate_spec(spec)
-    E = complex(E)
+    E = np.asarray(E, dtype=complex).ravel()
     a = _leading_coeff(spec)
-    coeff_scale = max(spec.delta ** 2, spec.t ** 2, spec.gamma ** 2 / 4.0, 1e-300)
-    if abs(a) <= 1e-14 * coeff_scale:
-        if E * spec.gamma == 0.0:
+    Eg = E * spec.gamma
+    c0 = E * E - 4.0 * spec.t ** 2
+    degenerate = _degenerate(spec)
+    if degenerate:
+        if np.any(Eg == 0.0):
             raise DegenerateLeadingCoeff(
                 "quartic degenerates and the reduced equation is trivial"
             )
-        x = -(E * E - 4.0 * spec.t ** 2) / (E * spec.gamma)
-        pair = _beta_pair(x)
-        roots = {"1+": pair[0], "2+": pair[1]}
-        mods = np.sort(np.abs(np.array(pair)))
-        return BetaQuartet(
-            energy=E, roots=roots, sorted_moduli=mods,
-            continuum_case=CASE_NEITHER,
-            mid_modulus_gap=float(abs(mods[1] - mods[0])),
-            degenerate_leading=True,
-        )
-    disc = (E * spec.gamma) ** 2 - 4.0 * a * (E * E - 4.0 * spec.t ** 2)
-    sq = np.sqrt(complex(disc))
-    roots: dict[str, complex] = {}
-    for label, x in (("+", (-E * spec.gamma + sq) / (2.0 * a)),
-                     ("-", (-E * spec.gamma - sq) / (2.0 * a))):
-        b1, b2 = _beta_pair(x)
-        roots["1" + label], roots["2" + label] = b1, b2
-    mods = np.sort(np.abs(np.array([roots[k] for k in BRANCH_ORDER])))
-    quartet = BetaQuartet(
-        energy=E, roots=roots, sorted_moduli=mods,
-        continuum_case=CASE_NEITHER,
-        mid_modulus_gap=float(abs(mods[2] - mods[1])),
-    )
-    quartet.continuum_case = continuum_condition(quartet)
-    return quartet
-
-
-def _beta_pair(x: complex) -> tuple[complex, complex]:
-    """Roots of beta^2 - x beta - 1 = 0, smaller modulus first."""
-    r = np.sqrt(complex(x * x + 4.0))
-    b1 = (x + r) / 2.0
-    b2 = (x - r) / 2.0
-    if abs(b1) > abs(b2) or (abs(b1) == abs(b2) and np.angle(b1) > np.angle(b2)):
-        b1, b2 = b2, b1
-    return complex(b1), complex(b2)
+        x = np.stack([-c0 / Eg, np.full_like(E, np.nan)], axis=1)
+    else:
+        sq = np.sqrt(Eg ** 2 - 4.0 * a * c0)
+        x = np.stack([(-Eg + sq) / (2.0 * a), (-Eg - sq) / (2.0 * a)], axis=1)
+    # roots of beta^2 - x beta - 1 = 0 per branch, smaller modulus first
+    r = np.sqrt(x * x + 4.0)
+    pair = np.stack([(x + r) / 2.0, (x - r) / 2.0], axis=2)
+    m, ang = np.abs(pair), np.angle(pair)
+    swap = (m[..., 0] > m[..., 1]) | ((m[..., 0] == m[..., 1]) & (ang[..., 0] > ang[..., 1]))
+    roots = np.where(swap[..., None], pair[..., ::-1], pair).reshape(-1, 4)
+    mods = np.sort(np.abs(roots), axis=1)
+    return BetaQuartet(energy=E, roots=roots, sorted_moduli=mods,
+                       continuum_case=continuum_condition(roots),
+                       mid_modulus_gap=np.abs(mods[:, 2] - mods[:, 1]),
+                       degenerate_leading=degenerate)
 
 
 def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarray:
@@ -216,24 +201,20 @@ def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarra
     return np.linalg.eigvals(bloch_matrix(spec, beta)).ravel()
 
 
-def gbz_modulus_report(spec: ModelSpec, energies) -> list[dict]:
-    """Per-energy quartet moduli and the deviation of the middle pair from 1."""
-    energies = list(energies)
-    if not energies:
+def gbz_modulus_report(spec: ModelSpec, energies) -> BetaQuartet:
+    """The quartet at each energy, for the GBZ table.
+
+    Refuses the degenerate line, where the quartet has two roots only.
+    """
+    energies = np.asarray(energies, dtype=complex).ravel()
+    if not energies.size:
         raise ConfigError("energies must be nonempty")
-    rows = []
-    for E in energies:
-        q = solve_beta(spec, complex(E))
-        m = q.sorted_moduli
-        mid_dev = float(max(abs(m[1] - 1.0), abs(m[2] - 1.0))) if len(m) == 4 else float("nan")
-        rows.append({
-            "energy": complex(E),
-            "moduli": m,
-            "case": q.continuum_case,
-            "mid_gap": q.mid_modulus_gap,
-            "mid_deviation": mid_dev,
-        })
-    return rows
+    if _degenerate(spec):
+        raise DegenerateLeadingCoeff(
+            "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, "
+            "not the four moduli the GBZ table reports"
+        )
+    return solve_beta(spec, energies)
 
 
 @dataclass
@@ -261,14 +242,13 @@ def wilson_loop_phase(lefts, rights) -> float:
     return float(phase)
 
 
-def _check_unit_circle(spec: ModelSpec, rtol: float = MID_EQUAL_RTOL) -> None:
-    for E in band_energies(spec, 16):
-        q = solve_beta(spec, E)
-        m = q.sorted_moduli
-        if len(m) < 4 or max(abs(m[1] - 1.0), abs(m[2] - 1.0)) > rtol:
-            raise GbzNotCircle(
-                f"middle moduli off the unit circle at band energy {E}"
-            )
+def _check_unit_circle(spec: ModelSpec) -> None:
+    E = band_energies(spec, 16)
+    off = ~(solve_beta(spec, E).mid_deviation <= MID_EQUAL_RTOL)  # NaN is off
+    if off.any():
+        raise GbzNotCircle(
+            f"middle moduli off the unit circle at band energy {E[off][0]}"
+        )
 
 
 def zak_phase(spec: ModelSpec, band: str = "plus", grid: int = 4096,

@@ -5,11 +5,16 @@ routine in `nhskin`: the per-point loops check the batched code, bit
 for bit (`==`) where the arithmetic is the same and to a tolerance for
 the Wilson loop, whose left vectors come from a different solve; the
 per-vector density profile checks the array pass of `classify_states`;
-the dense model builder, reflections and reducibility test are the
-references for the bond-list code.
+the per-energy beta quartet and boundary determinant check their
+batched forms, to a tolerance, since numpy's complex array arithmetic
+rounds differently from Python's; the dense model builder, reflections
+and reducibility test are the references for the bond-list code.
 """
 
 from __future__ import annotations
+
+import cmath
+from itertools import permutations
 
 import numpy as np
 
@@ -112,6 +117,79 @@ def density_profile_loop(state: np.ndarray, num_sites: int):
     rho = rho / rho.sum()
     sites = np.arange(1, num_sites + 1)
     return rho, float((sites * rho).sum()), float(1.0 / (rho ** 2).sum())
+
+
+def _beta_pair(x: complex) -> tuple[complex, complex]:
+    """Roots of beta^2 - x beta - 1 = 0, smaller modulus first."""
+    r = np.sqrt(complex(x * x + 4.0))
+    b1 = (x + r) / 2.0
+    b2 = (x - r) / 2.0
+    if abs(b1) > abs(b2) or (abs(b1) == abs(b2) and np.angle(b1) > np.angle(b2)):
+        b1, b2 = b2, b1
+    return complex(b1), complex(b2)
+
+
+def solve_beta_scalar(spec, E: complex) -> dict:
+    """The beta quartet at one energy, off the degenerate line: `roots`
+    maps the labels 1+, 2+, 1-, 2- to the roots, with `sorted_moduli`,
+    `continuum_case` (the three-way modulus ordering test, case1 first)
+    and `mid_modulus_gap`."""
+    E = complex(E)
+    a = spec.delta ** 2 - spec.t ** 2 + spec.gamma ** 2 / 4.0
+    sq = np.sqrt(complex((E * spec.gamma) ** 2 - 4.0 * a * (E * E - 4.0 * spec.t ** 2)))
+    roots = {}
+    for label, x in (("+", (-E * spec.gamma + sq) / (2.0 * a)),
+                     ("-", (-E * spec.gamma - sq) / (2.0 * a))):
+        roots["1" + label], roots["2" + label] = _beta_pair(x)
+    mods = np.sort(np.abs(np.array([roots[k] for k in ("1+", "2+", "1-", "2-")])))
+    m = {k: abs(v) for k, v in roots.items()}
+    rtol = 1e-6
+
+    def ordered(lo, mid_a, mid_b, hi):
+        equal = abs(m[mid_a] - m[mid_b]) <= rtol * max(m[mid_a], m[mid_b])
+        below = m[lo] <= min(m[mid_a], m[mid_b]) * (1.0 + rtol)
+        above = m[hi] * (1.0 + rtol) >= max(m[mid_a], m[mid_b])
+        return equal and below and above
+
+    case = ("case1" if ordered("1+", "1-", "2-", "2+")
+            else "case2" if ordered("1-", "1+", "2+", "2-") else "neither")
+    return {"roots": roots, "sorted_moduli": mods, "continuum_case": case,
+            "mid_modulus_gap": float(abs(mods[2] - mods[1]))}
+
+
+def boundary_determinant_scalar(spec, E: complex, L: int) -> complex:
+    """The normalized condition determinant at one energy: coefficients
+    per root label, columns 1+, 1-, 2-, 2+, and the 24 Leibniz terms
+    from a double loop over each permutation's inversions, each with its
+    two beta^(L-1) factors as one exponential relative to the largest
+    pair of columns, summed and divided by the largest term."""
+    E = complex(E)
+    t, g, d = spec.t, spec.gamma, spec.delta
+    roots = solve_beta_scalar(spec, E)["roots"]
+    M, logs = [], []
+    for b in (roots[k] for k in ("1+", "1-", "2-", "2+")):
+        bi = 1.0 / b
+        denom = E - (t + g / 2.0) * bi - (t - g / 2.0) * b
+        r = d * (b - bi) / denom
+        M.append([E * b + (t + g / 2.0) * b * b + d * b * b * r,
+                  r * (E * b - (t - g / 2.0) * b * b) - d * b * b,
+                  E * b + (t - g / 2.0) - d * r,
+                  d * (E * b - 2.0 * t) / denom * b])
+        logs.append((L - 1) * np.log(b))
+    M = np.array(M).T
+    M = (M / np.maximum(np.abs(M).max(axis=1, keepdims=True), 1e-300)).tolist()
+    logs = np.array(logs)
+    logs = (logs - np.sort(logs.real)[-2:].sum() / 2).tolist()
+    terms = []
+    for p in permutations(range(4)):
+        sgn = 1
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if p[i] > p[j]:
+                    sgn = -sgn
+        terms.append(sgn * M[0][p[0]] * M[1][p[1]] * M[2][p[2]] * M[3][p[3]]
+                     * cmath.exp(logs[p[2]] + logs[p[3]]))
+    return complex(sum(terms) / max(max(abs(x) for x in terms), 1e-300))
 
 
 def build_single_particle(spec) -> np.ndarray:

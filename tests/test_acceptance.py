@@ -82,26 +82,22 @@ def test_criterion_03_edge_modes(reference_es):
 
 def test_criterion_04_pair_product_invariant():
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    energies = []
     for _ in range(100):
         r = 4.0 * math.sqrt(rng.uniform())
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        E = r * complex(math.cos(phi), math.sin(phi))
-        q = solve_beta(REFERENCE, E)
-        worst = max(worst,
-                    abs(q.roots["1+"] * q.roots["2+"] + 1.0),
-                    abs(q.roots["1-"] * q.roots["2-"] + 1.0))
+        energies.append(r * complex(math.cos(phi), math.sin(phi)))
+    b = solve_beta(REFERENCE, energies).roots  # columns 1+, 2+, 1-, 2-
+    worst = float(max(np.abs(b[:, 0] * b[:, 1] + 1.0).max(),
+                      np.abs(b[:, 2] * b[:, 3] + 1.0).max()))
     report(4, "pair products equal -1", worst <= 1e-10, f"worst={worst:.2e}")
 
 
 def test_criterion_05_unit_circle_moduli():
     energies = band_energies(REFERENCE, 25)  # 50 bulk-band energies
-    worst_eq = 0.0
-    worst_one = 0.0
-    for E in energies:
-        m = solve_beta(REFERENCE, complex(E)).sorted_moduli
-        worst_eq = max(worst_eq, abs(m[1] - m[2]) / max(m[1], m[2]))
-        worst_one = max(worst_one, abs(m[1] - 1.0), abs(m[2] - 1.0))
+    m = solve_beta(REFERENCE, energies).sorted_moduli
+    worst_eq = (np.abs(m[:, 1] - m[:, 2]) / np.maximum(m[:, 1], m[:, 2])).max()
+    worst_one = np.abs(m[:, 1:3] - 1.0).max()
     ok = worst_eq <= 1e-6 and worst_one <= 1e-6
     report(5, "middle moduli equal one", ok,
            f"eq={worst_eq:.2e} dev1={worst_one:.2e}")
@@ -167,15 +163,15 @@ def test_criterion_08_spectral_negation():
 
 def test_criterion_09_boundary_determinant_oracle():
     chain = REFERENCE.replace(L=6)
-    evals = [complex(E) for E in np.linalg.eigvals(build_bdg(chain))]
-    on_spectrum = max(abs(boundary_determinant(chain, E, 6)) for E in evals)
+    ev = np.linalg.eigvals(build_bdg(chain))
+    on_spectrum = np.abs(boundary_determinant(chain, ev, 6)).max()
     rng = np.random.default_rng(42)
-    ev = np.array(evals)
-    off_vals = []
-    while len(off_vals) < 20:
+    off = []
+    while len(off) < 20:
         E = complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
         if np.abs(ev - E).min() >= 0.25:
-            off_vals.append(abs(boundary_determinant(chain, E, 6)))
+            off.append(E)
+    off_vals = np.abs(boundary_determinant(chain, off, 6))
     ok = on_spectrum <= 1e-8 and min(off_vals) >= 1e-3
     report(9, "boundary determinant oracle", ok,
            f"on<= {on_spectrum:.2e} off>= {min(off_vals):.2e}")
@@ -183,15 +179,11 @@ def test_criterion_09_boundary_determinant_oracle():
 
 def test_criterion_10_continuum_ratio_modulus():
     spec = REFERENCE.replace(L=40)
-    worst = 0.0
-    tested = 0
-    for E in band_energies(spec, 16, offset=0.5):
-        q = solve_beta(spec, complex(E))
-        if q.continuum_case == "neither":
-            continue
-        lhs, _ = continuum_ratio(spec, complex(E), 40)
-        worst = max(worst, abs(abs(lhs) - 1.0))
-        tested += 1
+    energies = band_energies(spec, 16, offset=0.5)
+    on_band = energies[solve_beta(spec, energies).continuum_case != "neither"]
+    lhs, _ = continuum_ratio(spec, on_band, 40)
+    worst = np.abs(np.abs(lhs) - 1.0).max()
+    tested = len(on_band)
     ok = tested >= 20 and worst <= 1e-6
     report(10, "continuum ratio unit modulus", ok,
            f"tested={tested} worst={worst:.2e}")
@@ -208,7 +200,7 @@ def test_criterion_11_oracle_equivalence():
         if abs(spec.delta ** 2 - spec.t ** 2 + spec.gamma ** 2 / 4) < 1e-3:
             continue
         E = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        mine = solve_beta(spec, E).root_array()
+        mine = solve_beta(spec, E).roots[0]
         other = np.roots(quartic_coefficients(spec, E))
         worst_roots = max(worst_roots, set_distance(mine, other))
     spec = REFERENCE.replace(L=50, boundary=PBC)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nhskin import (
     ModelSpec,
@@ -11,9 +12,10 @@ from nhskin import (
     continuum_ratio,
     solve_beta,
 )
-from nhskin.boundary import BoundaryCoeffs
-from nhskin.errors import SingularDenominator, WrongCase
-from nhskin.nonbloch import BetaQuartet, CASE_NEITHER
+from nhskin.boundary import PERMUTATIONS
+from nhskin.errors import SingularDenominator
+from nhskin.nonbloch import BRANCH_ORDER, CASE_NEITHER
+from oracles import boundary_determinant_scalar
 
 COUPLINGS = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=6)
 
@@ -36,13 +38,12 @@ def off_spectrum_draws(evals, n=20, seed=42):
 
 
 def test_determinant_vanishes_on_spectrum(six_site_eigenvalues):
-    for E in six_site_eigenvalues:
-        assert abs(boundary_determinant(COUPLINGS, E, 6)) <= 1e-8
+    assert np.abs(boundary_determinant(COUPLINGS, six_site_eigenvalues, 6)).max() <= 1e-8
 
 
 def test_determinant_large_off_spectrum(six_site_eigenvalues):
-    for E in off_spectrum_draws(six_site_eigenvalues):
-        assert abs(boundary_determinant(COUPLINGS, E, 6)) >= 1e-3
+    off = off_spectrum_draws(six_site_eigenvalues)
+    assert np.abs(boundary_determinant(COUPLINGS, off, 6)).min() >= 1e-3
 
 
 def test_determinant_chain_length_mismatch(six_site_eigenvalues):
@@ -56,14 +57,14 @@ def test_determinant_invariant_under_column_permutation(six_site_eigenvalues):
     # condition matrix, which is in double range at L = 6
     E = six_site_eigenvalues[2] + 0.4
     M, g = boundary_matrix(COUPLINGS, E, 6)
+    M, g = M[0], g[0]
     M[2:] *= np.exp(g)
-    from nhskin.boundary import _leibniz_terms
-    base = boundary_determinant(COUPLINGS, E, 6)
+    base = boundary_determinant(COUPLINGS, E, 6)[0]
     rng = np.random.default_rng(1)
     for _ in range(4):
-        P = rng.permutation(4)
-        terms = _leibniz_terms(M[:, P], np.zeros(4))
-        det = np.linalg.det(M[:, P]) / max(max(abs(x) for x in terms), 1e-300)
+        MP = M[:, rng.permutation(4)]
+        biggest = np.abs(MP[np.arange(4), PERMUTATIONS].prod(axis=1)).max()
+        det = np.linalg.det(MP) / max(biggest, 1e-300)
         assert abs(abs(det) - abs(base)) <= 1e-12 * max(abs(base), 1.0)
 
 
@@ -71,9 +72,9 @@ def test_determinant_discriminates_past_double_range():
     # |beta| ~ 16 here, so beta^L alone is ~1e480 at L = 400
     chain = COUPLINGS.replace(L=400)
     evals = np.linalg.eigvals(build_bdg(chain))
-    for E in evals[::40]:
-        assert abs(boundary_determinant(chain, E, 400)) <= 1e-8
-        assert abs(boundary_determinant(chain, E + 0.03 + 0.02j, 400)) >= 1e-3
+    E = evals[::40]
+    assert np.abs(boundary_determinant(chain, E, 400)).max() <= 1e-8
+    assert np.abs(boundary_determinant(chain, E + 0.03 + 0.02j, 400)).min() >= 1e-3
 
 
 def test_pairing_row_scales_linearly_with_delta():
@@ -84,22 +85,11 @@ def test_pairing_row_scales_linearly_with_delta():
     mags = []
     for d in (1e-2, 1e-4, 1e-6):
         spec = ModelSpec(t=1.0, gamma=0.0, delta=d, num_sites=10)
-        q = solve_beta(spec, E)
-
-        def denom(b):
-            return abs(E - (spec.t + spec.gamma / 2) / b
-                       - (spec.t - spec.gamma / 2) * b)
-
-        keep = sorted(q.roots, key=lambda k: denom(q.roots[k]))[2:]
-        regular = BetaQuartet(
-            energy=E,
-            roots={k: q.roots[k] for k in keep},
-            sorted_moduli=q.sorted_moduli,
-            continuum_case=q.continuum_case,
-            mid_modulus_gap=q.mid_modulus_gap,
-        )
-        cf = boundary_coeffs(spec, E, regular)
-        mags.append(max(abs(c.b) for c in cf.values()))
+        b = solve_beta(spec, E).roots[0]
+        denom = np.abs(E - (spec.t + spec.gamma / 2) / b - (spec.t - spec.gamma / 2) * b)
+        regular = b[np.argsort(denom)[2:]]
+        cf = boundary_coeffs(spec, E, regular[None])
+        mags.append(np.abs(cf[0, 1]).max())  # row 1 is B
     assert mags[0] < 1.0
     assert mags[1] / mags[0] == pytest.approx(1e-2, rel=0.2)
     assert mags[2] / mags[1] == pytest.approx(1e-2, rel=0.2)
@@ -110,71 +100,95 @@ def test_coefficients_frozen_regression():
     spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=40)
     E = 0.8 + 0.3j
     q = solve_beta(spec, E)
-    cf = boundary_coeffs(spec, E, q)
+    cf = boundary_coeffs(spec, E, q.roots)[0]  # rows A, B, C, D; columns BRANCH_ORDER
     want = {
-        "1+": BoundaryCoeffs(
-            a=(-0.12284372490179211 - 0.03825422942379307j),
-            b=(-0.05495303715627238 - 0.13388980298327596j),
-            c=(-0.00243943680883274 - 0.24116541518372311j),
-            d=(-0.1469652373695212 - 0.13873615785771493j)),
-        "2+": BoundaryCoeffs(
-            a=(-2.0529083832140276 - 0.5423945524377984j),
-            b=(-6.810179341249122 - 1.8983809335322799j),
-            c=(4.218041709476222 - 0.45519189769304047j),
-            d=(-1.3257583033956037 + 0.26379311522625404j)),
-        "1-": BoundaryCoeffs(
-            a=(-0.11666783875797337 + 0.007049370701440521j),
-            b=(-0.033337435652907296 + 0.024672797455041303j),
-            c=(-0.0026195345969780015 + 0.04312686474030072j),
-            d=(-0.06275966431329282 + 0.05855077439335793j)),
-        "2-": BoundaryCoeffs(
-            a=(-2.1197898298489752 + 0.09885718135522836j),
-            b=(-7.044264404471486 + 0.3460001347433277j),
-            c=(4.599227038652385 + 4.967972677941373j),
-            d=(-2.3113530830307716 - 1.734471910977089j)),
+        "1+": [(-0.12284372490179211 - 0.03825422942379307j),
+               (-0.05495303715627238 - 0.13388980298327596j),
+               (-0.00243943680883274 - 0.24116541518372311j),
+               (-0.1469652373695212 - 0.13873615785771493j)],
+        "2+": [(-2.0529083832140276 - 0.5423945524377984j),
+               (-6.810179341249122 - 1.8983809335322799j),
+               (4.218041709476222 - 0.45519189769304047j),
+               (-1.3257583033956037 + 0.26379311522625404j)],
+        "1-": [(-0.11666783875797337 + 0.007049370701440521j),
+               (-0.033337435652907296 + 0.024672797455041303j),
+               (-0.0026195345969780015 + 0.04312686474030072j),
+               (-0.06275966431329282 + 0.05855077439335793j)],
+        "2-": [(-2.1197898298489752 + 0.09885718135522836j),
+               (-7.044264404471486 + 0.3460001347433277j),
+               (4.599227038652385 + 4.967972677941373j),
+               (-2.3113530830307716 - 1.734471910977089j)],
     }
     for lab, w in want.items():
-        got = cf[lab]
-        for field in "abcd":
-            assert getattr(got, field) == pytest.approx(getattr(w, field), rel=1e-12)
+        got = cf[:, BRANCH_ORDER.index(lab)]
+        for row in range(4):
+            assert got[row] == pytest.approx(w[row], rel=1e-12)
 
 
 def test_singular_denominator_reported():
     spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=10)
     beta = 0.5 + 0.0j
     E = (spec.t + spec.gamma / 2) / beta + (spec.t - spec.gamma / 2) * beta
-    fake = BetaQuartet(energy=E, roots={"1+": beta, "2+": -1 / beta,
-                                        "1-": 2.0 + 0j, "2-": -0.5 + 0j},
-                       sorted_moduli=np.array([0.5, 0.5, 2.0, 2.0]),
-                       continuum_case=CASE_NEITHER, mid_modulus_gap=1.5)
+    fake = np.array([[beta, -1 / beta, 2.0 + 0j, -0.5 + 0j]])
     with pytest.raises(SingularDenominator):
         boundary_coeffs(spec, E, fake)
 
 
 def test_continuum_ratio_on_band_energies():
     spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=40)
-    cases = set()
-    for E in band_energies(spec, 16, offset=0.5):
-        q = solve_beta(spec, complex(E))
-        if q.continuum_case == CASE_NEITHER:
-            continue
-        cases.add(q.continuum_case)
-        lhs, rhs = continuum_ratio(spec, complex(E), 40)
-        assert abs(abs(lhs) - 1.0) <= 1e-6
-        assert 1e-4 < abs(rhs) < 1e4
-    assert len(cases) == 2  # both orderings occur and both paths run
+    E = band_energies(spec, 16, offset=0.5)
+    q = solve_beta(spec, E)
+    on_band = q.continuum_case != CASE_NEITHER
+    lhs, rhs = continuum_ratio(spec, E[on_band], 40)
+    assert np.abs(np.abs(lhs) - 1.0).max() <= 1e-6
+    assert (1e-4 < np.abs(rhs)).all() and (np.abs(rhs) < 1e4).all()
+    assert len(set(q.continuum_case[on_band])) == 2  # both orderings occur and both paths run
 
 
 def test_continuum_ratio_hermitian_limit_pure_phase():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.4, num_sites=40)
-    for E in band_energies(spec, 8, offset=0.5):
-        q = solve_beta(spec, complex(E))
-        if q.continuum_case == CASE_NEITHER:
-            continue
-        lhs, _ = continuum_ratio(spec, complex(E), 40)
-        assert abs(abs(lhs) - 1.0) <= 1e-10
+    E = band_energies(spec, 8, offset=0.5)
+    lhs, _ = continuum_ratio(spec, E[solve_beta(spec, E).continuum_case != CASE_NEITHER], 40)
+    assert np.abs(np.abs(lhs) - 1.0).max() <= 1e-10
 
 
-def test_continuum_ratio_wrong_case():
-    with pytest.raises(WrongCase):
-        continuum_ratio(COUPLINGS, 10.0 + 10.0j, 40)
+
+@pytest.mark.parametrize("gamma, delta", [(1.5, 0.5), (1.2, 0.3), (1.7, 0.6)])
+@pytest.mark.parametrize("L", [20, 100])
+def test_continuum_ratio_balances_at_open_chain_eigenvalues(gamma, delta, L):
+    # rows 3 and 4 of the condition matrix share b_j^(L-1), so the
+    # two-leading-term balance holds with that exponent at every bulk
+    # eigenvalue.  The two of least modulus are the end modes, where it
+    # does not apply; at L = 20, gamma 1.2 they sit at |E| ~ 3e-7.
+    chain = ModelSpec(t=1.0, gamma=gamma, delta=delta, num_sites=L)
+    evals = np.linalg.eigvals(build_bdg(chain))
+    lhs, rhs = continuum_ratio(chain, evals[np.argsort(np.abs(evals))[2:]], L)
+    assert np.abs(np.log(np.abs(lhs) / np.abs(rhs))).max() <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(0.3, 2.0), gamma=st.floats(0.0, 3.0), delta=st.floats(0.1, 1.5),
+       L=st.integers(2, 8))
+def test_determinant_vanishes_at_open_chain_eigenvalues(t, gamma, delta, L):
+    # off the degenerate line, where the quartic keeps four roots
+    assume(abs(delta ** 2 - t ** 2 + gamma ** 2 / 4.0)
+           >= 0.05 * max(delta ** 2, t ** 2, gamma ** 2 / 4.0))
+    chain = ModelSpec(t=t, gamma=gamma, delta=delta, num_sites=L)
+    evals = np.linalg.eigvals(build_bdg(chain))
+    assert np.abs(boundary_determinant(chain, evals, L)).max() <= 1e-8
+
+
+# The nearly one-way chain (gamma 1.99) has its own rounding floor of
+# ~1e-9: there both forms sit 5e-10 to 1e-9 from a 60-digit Leibniz sum.
+@pytest.mark.parametrize("spec, L, tol", [
+    (COUPLINGS, 6, 1e-10), (COUPLINGS, 100, 1e-10), (COUPLINGS, 400, 1e-10),
+    (ModelSpec(t=1.0, gamma=1.2, delta=0.3, num_sites=20), 20, 1e-10),
+    (ModelSpec(t=1.0, gamma=1.99, delta=0.1, num_sites=10), 10, 1e-8),
+], ids=["readme-6", "readme-100", "readme-400", "gamma1.2-20", "gamma1.99-10"])
+def test_norm_det_matches_per_energy_reference(spec, L, tol):
+    chain = spec.replace(L=L)
+    evals = np.linalg.eigvals(build_bdg(chain))[:: max(1, L // 10)]
+    E = np.concatenate([evals, evals + 0.03 + 0.02j])
+    got = np.abs(boundary_determinant(chain, E, L))
+    want = np.abs([boundary_determinant_scalar(chain, e, L) for e in E])
+    assert np.abs(got - want).max() <= tol

@@ -341,6 +341,7 @@ def test_boundary_command(config_path, tmp_path):
     assert len(rows) == 12
     for r in rows:
         assert float(r[3]) <= 1e-8
+        assert all(math.isfinite(float(x)) for x in r)
 
 
 # The outer |beta| is ~16 on the README chain and ~1.6e5 at gamma 1.99, so
@@ -435,6 +436,9 @@ def test_flag_overrides_config(config_path, tmp_path):
 @pytest.mark.parametrize("argv, code", [
     (["profiles", "--selection", "bulk:x"], 1),
     (["profiles", "--selection", "bulk:"], 1),
+    # an index list must name at least one state, each once
+    (["profiles", "--selection", ","], 1),
+    (["profiles", "--selection", "1,1"], 1),
     (["gbz", "--num-energies", "-3"], 1),
     (["spectrum", "--w-edge", "nan"], 1),
     (["symmetry", "--tol", "nan"], 1),
@@ -446,6 +450,8 @@ def test_flag_overrides_config(config_path, tmp_path):
     (["sweep-theta", "--steps", "6", "--tau-skin", "1.5"], 1),
     # t = 0 closes the band gap on the unit circle
     (["zak", "--t", "0", "--gamma", "0.1", "--delta", "0.5"], 2),
+    # delta^2 - t^2 + gamma^2/4 = 0: the quartic has two roots, not four
+    (["gbz", "--t", "1.25", "--gamma", "1.5", "--delta", "1"], 2),
     # every size cap, one past it
     (["spectrum", "--L", str(MAX_SITES + 1)], 1),
     (["boundary", "--L-check", str(MAX_SITES + 1)], 1),

@@ -25,10 +25,12 @@ from nhskin.nonbloch import (
     CASE_MINUS_MIDDLE,
     CASE_NEITHER,
     CASE_PLUS_MIDDLE,
+    MID_EQUAL_RTOL,
     quartic_coefficients,
     wilson_loop_phase,
 )
-from oracles import band_energies_loop, pbc_spectrum, set_distance, zak_phase_loop
+from oracles import (band_energies_loop, pbc_spectrum, set_distance, solve_beta_scalar,
+                     zak_phase_loop)
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -78,7 +80,7 @@ def test_solved_roots_satisfy_char_poly():
         E = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
         q = solve_beta(REFERENCE, E)
         scale = max(abs(E) ** 2, REFERENCE.t ** 2)
-        for b in q.roots.values():
+        for b in q.roots[0]:
             assert abs(char_poly_residual(REFERENCE, E, b)) <= 1e-9 * scale
 
 
@@ -86,10 +88,10 @@ def test_vieta_pair_products():
     rng = np.random.default_rng(7)
     for _ in range(50):
         E = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        q = solve_beta(REFERENCE, E)
-        assert abs(q.roots["1+"] * q.roots["2+"] + 1.0) <= 1e-10
-        assert abs(q.roots["1-"] * q.roots["2-"] + 1.0) <= 1e-10
-        prod = np.prod(q.root_array())
+        b1p, b2p, b1m, b2m = solve_beta(REFERENCE, E).roots[0]
+        assert abs(b1p * b2p + 1.0) <= 1e-10
+        assert abs(b1m * b2m + 1.0) <= 1e-10
+        prod = np.prod([b1p, b2p, b1m, b2m])
         assert abs(prod - 1.0) <= 1e-9
 
 
@@ -97,7 +99,7 @@ def test_roots_match_companion_matrix():
     rng = np.random.default_rng(8)
     for _ in range(100):
         E = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        mine = np.sort_complex(solve_beta(REFERENCE, E).root_array())
+        mine = np.sort_complex(solve_beta(REFERENCE, E).roots[0])
         other = np.sort_complex(np.roots(quartic_coefficients(REFERENCE, E)))
         # sorting complex values can swap near-ties; compare as multisets
         assert set_distance(mine, other) <= 1e-9
@@ -106,7 +108,7 @@ def test_roots_match_companion_matrix():
 def test_moduli_come_in_reciprocal_pairs():
     for E in (0.7 + 0.4j, 0.0 + 0.0j):
         q = solve_beta(REFERENCE, E)
-        m = q.sorted_moduli
+        m = q.sorted_moduli[0]
         assert abs(m[0] * m[3] - 1.0) <= 1e-10
         assert abs(m[1] * m[2] - 1.0) <= 1e-10
 
@@ -114,11 +116,11 @@ def test_moduli_come_in_reciprocal_pairs():
 def test_quartet_at_zero_energy():
     # x^2 coefficient is delta^2 - t^2 + gamma^2/4 = -0.1875 here and the
     # x term drops out, so the two branches are exact negatives
-    q = solve_beta(REFERENCE, 0.0)
-    assert abs(q.roots["1+"] * q.roots["2+"] + 1.0) <= 1e-12
-    assert abs(q.roots["1-"] * q.roots["2-"] + 1.0) <= 1e-12
-    moduli_plus = sorted([abs(q.roots["1+"]), abs(q.roots["2+"])])
-    moduli_minus = sorted([abs(q.roots["1-"]), abs(q.roots["2-"])])
+    b1p, b2p, b1m, b2m = solve_beta(REFERENCE, 0.0).roots[0]
+    assert abs(b1p * b2p + 1.0) <= 1e-12
+    assert abs(b1m * b2m + 1.0) <= 1e-12
+    moduli_plus = sorted([abs(b1p), abs(b2p)])
+    moduli_minus = sorted([abs(b1m), abs(b2m)])
     assert np.allclose(moduli_plus, moduli_minus, rtol=1e-10)
 
 
@@ -126,9 +128,9 @@ def test_reciprocal_limit_roots_on_unit_circle():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.0, num_sites=10)
     k = 0.9
     q = solve_beta(spec, -2.0 * np.cos(k))
-    assert np.abs(np.abs(q.root_array()) - 1.0).max() <= 1e-10
+    assert np.abs(np.abs(q.roots[0]) - 1.0).max() <= 1e-10
     # particle band contributes e^{+-ik}, the hole band -e^{-+ik}
-    phases = np.sort(np.angle(q.root_array()))
+    phases = np.sort(np.angle(q.roots[0]))
     want = np.sort([k, -k, np.pi - k, -(np.pi - k)])
     assert np.abs(phases - want).max() <= 1e-9
 
@@ -137,34 +139,34 @@ def test_degenerate_leading_coefficient_flagged():
     spec = ModelSpec(t=1.0, gamma=1.0, delta=np.sqrt(0.75), num_sites=10)
     q = solve_beta(spec, 1.0 + 0.5j)
     assert q.degenerate_leading
-    assert len(q.roots) == 2
-    assert abs(q.roots["1+"] * q.roots["2+"] + 1.0) <= 1e-10
+    b1p, b2p, b1m, b2m = q.roots[0]
+    assert np.isfinite([b1p, b2p]).all() and np.isnan([b1m, b2m]).all()
+    assert abs(b1p * b2p + 1.0) <= 1e-10
     with pytest.raises(DegenerateLeadingCoeff):
         solve_beta(spec, 0.0)  # reduced equation loses its x term
 
 
 def test_continuum_condition_on_band_energies():
-    for E in band_energies(REFERENCE, 17):
-        q = solve_beta(REFERENCE, E)
-        assert q.continuum_case in (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)
-        assert np.abs(q.sorted_moduli[1:3] - 1.0).max() <= 1e-6
+    q = solve_beta(REFERENCE, band_energies(REFERENCE, 17))
+    assert np.isin(q.continuum_case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
+    assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= 1e-6
 
 
 def test_continuum_condition_far_from_spectrum():
     q = solve_beta(REFERENCE, 10.0 + 10.0j)
-    assert continuum_condition(q) == CASE_NEITHER
+    assert continuum_condition(q.roots) == [CASE_NEITHER]
 
 
 def test_continuum_condition_hermitian_limit():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.0, num_sites=10)
     q = solve_beta(spec, -2.0 * np.cos(1.1))
     assert np.abs(q.sorted_moduli - 1.0).max() <= 1e-10
-    assert continuum_condition(q) != CASE_NEITHER
+    assert continuum_condition(q.roots) != [CASE_NEITHER]
 
 
 def test_gbz_report_band_energies_on_unit_circle():
-    rows = gbz_modulus_report(REFERENCE, band_energies(REFERENCE, 25))
-    assert max(r["mid_deviation"] for r in rows) <= 1e-6
+    q = gbz_modulus_report(REFERENCE, band_energies(REFERENCE, 25))
+    assert q.mid_deviation.max() <= 1e-6
 
 
 def test_gbz_finite_chain_deviation_shrinks_with_length():
@@ -173,9 +175,7 @@ def test_gbz_finite_chain_deviation_shrinks_with_length():
     devs = {}
     for L in (50, 100):
         vals = np.linalg.eigvals(build_bdg(REFERENCE.replace(L=L)))
-        bulk = [complex(E) for E in vals if abs(E) > 1e-6]
-        rows = gbz_modulus_report(REFERENCE, bulk)
-        devs[L] = max(r["mid_deviation"] for r in rows)
+        devs[L] = gbz_modulus_report(REFERENCE, vals[np.abs(vals) > 1e-6]).mid_deviation.max()
     assert 0.3 <= devs[100] / devs[50] <= 0.7
     assert devs[100] < 0.05
 
@@ -335,6 +335,63 @@ def test_band_energies_match_ring_spectrum():
 
 def test_branch_labels_are_complete():
     q = solve_beta(REFERENCE, 0.3 - 1.1j)
-    assert set(q.roots) == set(BRANCH_ORDER)
-    assert abs(q.roots["1+"]) <= abs(q.roots["2+"])
-    assert abs(q.roots["1-"]) <= abs(q.roots["2-"])
+    assert BRANCH_ORDER == ("1+", "2+", "1-", "2-") and q.roots.shape == (1, 4)
+    b1p, b2p, b1m, b2m = q.roots[0]
+    assert abs(b1p) <= abs(b2p)
+    assert abs(b1m) <= abs(b2m)
+
+
+@st.composite
+def _off_line_specs(draw):
+    """Couplings at least 5% (of the largest term) off the degenerate line."""
+    t, gamma = draw(st.floats(0.3, 2.0)), draw(st.floats(0.0, 3.0))
+    delta = draw(st.floats(0.1, 1.5))
+    assume(abs(delta ** 2 - t ** 2 + gamma ** 2 / 4.0)
+           >= 0.05 * max(delta ** 2, t ** 2, gamma ** 2 / 4.0))
+    return ModelSpec(t=t, gamma=gamma, delta=delta, num_sites=10)
+
+
+_ENERGIES = st.lists(st.complex_numbers(max_magnitude=5.0), min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=_off_line_specs(), energies=_ENERGIES)
+def test_pair_products_and_char_poly_over_parameter_space(spec, energies):
+    E = np.array(energies, dtype=complex)
+    b = solve_beta(spec, E).roots
+    assert b.shape == (len(E), 4)
+    assert np.abs(b[:, 0] * b[:, 1] + 1.0).max() <= 1e-10
+    assert np.abs(b[:, 2] * b[:, 3] + 1.0).max() <= 1e-10
+    # residual relative to the sum of its three terms' magnitudes
+    a = abs(spec.delta ** 2 - spec.t ** 2 + spec.gamma ** 2 / 4.0)
+    m, Ec = np.abs(b), E[:, None]
+    scale = (a * (m ** 2 + m ** -2 + 2.0) + np.abs(Ec * spec.gamma) * (m + 1.0 / m)
+             + np.abs(Ec) ** 2 + 4.0 * spec.t ** 2)
+    assert (np.abs(char_poly_residual(spec, Ec, b)) <= 1e-10 * scale).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=_off_line_specs(), num_k=st.integers(1, 40))
+def test_middle_moduli_on_unit_circle_at_band_energies(spec, num_k):
+    # next to a band edge the roots nearly coincide, so they hold only to
+    # about sqrt(eps); MID_EQUAL_RTOL is the code's own allowance for it
+    q = solve_beta(spec, band_energies(spec, num_k, offset=0.5))
+    assert q.mid_deviation.max() <= MID_EQUAL_RTOL
+    assert np.isin(q.continuum_case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
+
+
+@pytest.mark.parametrize("spec", GAPPED + [ModelSpec(t=1.0, gamma=0.0, delta=0.4, num_sites=10),
+                                           ModelSpec(t=0.8, gamma=2.5, delta=1.2, num_sites=10)])
+def test_solve_beta_matches_per_energy_reference(spec):
+    # the band edges k = 0 and pi are left out: at a double root, array and
+    # scalar rounding of the discriminant move the moduli by ~sqrt(eps)
+    rng = np.random.default_rng(11)
+    E = np.concatenate([band_energies(spec, 60, offset=0.5),
+                        band_energies(spec, 7, offset=0.5) * 1.01,
+                        rng.uniform(-4, 4, 60) + 1j * rng.uniform(-4, 4, 60), [0.0]])
+    q = solve_beta(spec, E)
+    for i, e in enumerate(E):
+        want = solve_beta_scalar(spec, e)
+        assert np.abs(q.sorted_moduli[i] / want["sorted_moduli"] - 1.0).max() <= 1e-10
+        assert q.continuum_case[i] == want["continuum_case"]
+        assert abs(q.mid_modulus_gap[i] - want["mid_modulus_gap"]) <= 1e-10
