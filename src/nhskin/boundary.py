@@ -81,14 +81,6 @@ def boundary_coeffs(spec: ModelSpec, E, roots: np.ndarray) -> np.ndarray:
     return np.stack([A, B, C, D], axis=1)
 
 
-def _quartet(spec: ModelSpec, E):
-    """solve_beta at E, refused on the degenerate line (two roots only)."""
-    q = solve_beta(spec, E)
-    if q.degenerate_leading:
-        raise SingularDenominator("degenerate quartic: no 4x4 condition matrix")
-    return q
-
-
 def boundary_matrix(spec: ModelSpec, E, L: int) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 condition matrices at the n energies E, in factored form
     (M, g) of shapes (n, 4, 4) and (n, 4).
@@ -98,7 +90,7 @@ def boundary_matrix(spec: ModelSpec, E, L: int) -> tuple[np.ndarray, np.ndarray]
     rows 3 and 4 of column j times exp(g_j).  The powers stay logs
     because b^L leaves double range at moderate L (|b| ~ 16 past L ~ 256).
     """
-    q = _quartet(spec, E)
+    q = solve_beta(spec, E)
     b = q.roots[:, COLUMN_ORDER]
     M = boundary_coeffs(spec, q.energy, b)
     M[:, 3] *= b
@@ -143,7 +135,7 @@ def continuum_ratio(spec: ModelSpec, E, L: int) -> tuple[np.ndarray, np.ndarray]
     the open chain of length L, not at its two end modes near E = 0; on
     a continuum band |lhs| = 1.
     """
-    q = _quartet(spec, E)
+    q = solve_beta(spec, E)
     cf = boundary_coeffs(spec, q.energy, q.roots)
     # per energy, the indices of 1p, 2p, 1m, 2m into BRANCH_ORDER
     idx = np.where((np.abs(q.roots[:, 0]) <= np.abs(q.roots[:, 2]))[:, None],

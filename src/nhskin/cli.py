@@ -9,7 +9,10 @@ the primary file into --out and, under --svg, <stem>.svg beside it,
 prints the primary path and any warnings (spectrum, profiles and
 sweep-theta warn on stderr about ill-conditioned eigenvalues), and maps
 errors to exit codes.  Output is deterministic: identical configuration
-gives byte-identical files.
+gives byte-identical files.  sweep-theta tests the symmetry on one
+RING_SITES-site ring, whatever L is; skin metrics come from the open
+chain of length L.  gbz, zak and boundary refuse the line
+delta^2 - t^2 + gamma^2/4 = 0 with the one message of `solve_beta`.
 Sizes are capped before any work starts (MAX_SITES for L and --L-check,
 MAX_GRID, MAX_STEPS, MAX_ENERGIES).
 
@@ -47,6 +50,12 @@ FMT = "%.17g"
 MAX_GRID = 2 ** 20
 MAX_STEPS = 3600
 MAX_ENERGIES = 10 ** 5
+
+# sweep-theta's symmetry ring: two 6-site cells, 6 being the least common
+# multiple of the staggering period 2 and the potential period 3.  The
+# ring is translation invariant with period 6, so its commutator residual
+# does not depend on the number of cells.
+RING_SITES = 12
 
 # Model flags shared by every command, with their value types.
 MODEL_FLAGS = {"t": float, "gamma": float, "delta": float, "V": float,
@@ -234,14 +243,8 @@ def cmd_zak(spec: ModelSpec, args) -> Output:
                                        "grid": res.grid_points, "residual": res.residual})
 
 
-def ring_length(L: int) -> int:
-    """Nearest ring length supporting all six reflection centers."""
-    return max(6, 6 * int(round(L / 6)))
-
-
 def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
-    L_ring = ring_length(spec.num_sites)
-    candidates = ring_candidates(L_ring)
+    candidates = ring_candidates(RING_SITES)
     rows, flagged, kappa = [], [], 0.0
     for s in range(args.steps):
         theta = 2.0 * np.pi * s / args.steps
@@ -254,8 +257,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
                               resolve_ell(args, obc_spec.num_sites), args.w_edge)
         # the symmetry test runs on the periodic ring, where shifted
         # reflection centers are legitimate lattice maps
-        ring_spec = spec.replace(theta=theta, boundary=PBC, L=L_ring)
-        H_ring = bonds(ring_spec)
+        H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=RING_SITES))
         verdict = theorem_verdict(H_ring, candidates, args.tol)
         residual = verdict.commutator_residual
         if residual is None:

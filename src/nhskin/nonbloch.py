@@ -21,10 +21,14 @@ extended.  The loop integral of the band eigenvectors around that circle
 (a discretized Wilson loop over biorthogonal pairs) gives the band's
 geometric phase; +-pi signals the phase with protected end modes.
 `bloch_matrix` takes an array of beta and `solve_beta` an array of
-energies, returning an (n, 4) root array; the Wilson loop takes one stacked
-`eig` per block of BLOCK grid points, so its eigensolver stacks stay
-bounded, and pairs each right vector with a row of the closed-form 2x2
-inverse of the right-vector matrix, as `spectra.eigendecompose` does.
+energies, returning an (n, 4) root array; on the line
+delta^2 - t^2 + gamma^2/4 = 0, where the quartic keeps two roots only,
+`solve_beta` refuses.  The Wilson loop takes one stacked `eig` per block
+of BLOCK grid points, so its eigensolver stacks stay bounded.  On the
+unit circle the two eigenvalues differ by a real number, so each band is
+the member of larger (or smaller) real part at every point; each right
+vector is paired with a row of the closed-form 2x2 inverse of the
+right-vector matrix, as `spectra.eigendecompose` does.
 """
 
 from __future__ import annotations
@@ -61,10 +65,7 @@ class BetaQuartet:
 
     roots[:, j] is branch BRANCH_ORDER[j]; within each x-branch, label 1
     is the root of smaller modulus.  sorted_moduli is ascending along
-    each row; mid_modulus_gap = |m3 - m2|.  degenerate_leading marks the
-    measure-zero parameter line where the quartic collapses to a single
-    quadratic: its two roots are on the '+' branch and the '-' columns,
-    the two largest moduli and the gap are NaN.
+    each row; mid_modulus_gap = |m3 - m2|.
     """
 
     energy: np.ndarray
@@ -72,11 +73,10 @@ class BetaQuartet:
     sorted_moduli: np.ndarray
     continuum_case: np.ndarray
     mid_modulus_gap: np.ndarray
-    degenerate_leading: bool = False
 
     @property
     def mid_deviation(self) -> np.ndarray:
-        """GBZ deviation max(|m2 - 1|, |m3 - 1|) per energy; NaN if degenerate."""
+        """GBZ deviation max(|m2 - 1|, |m3 - 1|) per energy."""
         return np.abs(self.sorted_moduli[:, 1:3] - 1.0).max(axis=1)
 
 
@@ -140,37 +140,25 @@ def continuum_condition(roots: np.ndarray) -> np.ndarray:
                     np.where(equal[:, 0], CASE_PLUS_MIDDLE, CASE_NEITHER))
 
 
-def _degenerate(spec: ModelSpec) -> bool:
-    """On the line delta^2 - t^2 + gamma^2/4 = 0, relative to the couplings."""
-    scale = max(spec.delta ** 2, spec.t ** 2, spec.gamma ** 2 / 4.0, 1e-300)
-    return abs(_leading_coeff(spec)) <= 1e-14 * scale
-
-
 def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
     """Solve the quartic for the four decay factors at each energy of E.
 
     Goes through the x = beta - beta^-1 substitution: a quadratic for x
     (both square-root signs retained, so the branch cut drops out), then
     beta^2 - x beta - 1 = 0 per branch.  The pair product -1 is exact by
-    construction.  On the degenerate line delta^2 - t^2 + gamma^2/4 = 0
-    the quartic loses two roots; the reduced linear equation is solved
-    and the result flagged instead of silently perturbing.
+    construction.  On the line delta^2 - t^2 + gamma^2/4 = 0 (relative
+    to the couplings) the quartic has two roots only; every caller needs
+    four, so it raises DegenerateLeadingCoeff.
     """
     validate_spec(spec)
-    E = np.asarray(E, dtype=complex).ravel()
     a = _leading_coeff(spec)
+    if abs(a) <= 1e-14 * max(spec.delta ** 2, spec.t ** 2, spec.gamma ** 2 / 4.0, 1e-300):
+        raise DegenerateLeadingCoeff(
+            "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, not four")
+    E = np.asarray(E, dtype=complex).ravel()
     Eg = E * spec.gamma
-    c0 = E * E - 4.0 * spec.t ** 2
-    degenerate = _degenerate(spec)
-    if degenerate:
-        if np.any(Eg == 0.0):
-            raise DegenerateLeadingCoeff(
-                "quartic degenerates and the reduced equation is trivial"
-            )
-        x = np.stack([-c0 / Eg, np.full_like(E, np.nan)], axis=1)
-    else:
-        sq = np.sqrt(Eg ** 2 - 4.0 * a * c0)
-        x = np.stack([(-Eg + sq) / (2.0 * a), (-Eg - sq) / (2.0 * a)], axis=1)
+    sq = np.sqrt(Eg ** 2 - 4.0 * a * (E * E - 4.0 * spec.t ** 2))
+    x = np.stack([(-Eg + sq) / (2.0 * a), (-Eg - sq) / (2.0 * a)], axis=1)
     # roots of beta^2 - x beta - 1 = 0 per branch, smaller modulus first
     r = np.sqrt(x * x + 4.0)
     pair = np.stack([(x + r) / 2.0, (x - r) / 2.0], axis=2)
@@ -180,8 +168,7 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
     mods = np.sort(np.abs(roots), axis=1)
     return BetaQuartet(energy=E, roots=roots, sorted_moduli=mods,
                        continuum_case=continuum_condition(roots),
-                       mid_modulus_gap=np.abs(mods[:, 2] - mods[:, 1]),
-                       degenerate_leading=degenerate)
+                       mid_modulus_gap=np.abs(mods[:, 2] - mods[:, 1]))
 
 
 def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarray:
@@ -202,18 +189,10 @@ def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarra
 
 
 def gbz_modulus_report(spec: ModelSpec, energies) -> BetaQuartet:
-    """The quartet at each energy, for the GBZ table.
-
-    Refuses the degenerate line, where the quartet has two roots only.
-    """
+    """The quartet at each energy, for the GBZ table."""
     energies = np.asarray(energies, dtype=complex).ravel()
     if not energies.size:
         raise ConfigError("energies must be nonempty")
-    if _degenerate(spec):
-        raise DegenerateLeadingCoeff(
-            "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, "
-            "not the four moduli the GBZ table reports"
-        )
     return solve_beta(spec, energies)
 
 
@@ -259,17 +238,19 @@ def zak_phase(spec: ModelSpec, band: str = "plus", grid: int = 4096,
     matrix is diagonalized; its left eigenvectors are the rows of the
     closed-form inverse [[d, -b], [-c, a]] / det of the right-vector
     matrix [[a, b], [c, d]], so left_i . right_j = delta_ij by
-    construction.  The chosen band is followed by eigenvector-overlap
-    continuity.  The band label fixes the starting member at k = 0:
-    "plus" is the larger real part.  The residual is the largest overlap
-    of the chosen left vector with the other unit right vector, i.e. the
-    rounding of the inverse.
+    construction.  At beta = e^{ik} the matrix is -i gamma sin k times
+    the identity plus the Hermitian -2t cos k sigma_z + 2 delta sin k
+    sigma_y, so its two eigenvalues differ by a real number: wherever
+    the gap is open, "plus" is the member with the larger real part at
+    every grid point and "minus" the one with the smaller.  The residual
+    is the largest overlap of the chosen left vector with the other unit
+    right vector, i.e. the rounding of the inverse.
 
     Blocks of BLOCK points each take one stacked `eig`, so only the loop
-    vectors are O(grid); continuity is an integer scan carried across
-    blocks.  The first failing grid point raises BandTouching: a gap at
-    most gap_tol, else a singular right-vector matrix.  Phase and
-    residual agree with a point-by-point two-solve loop to rounding.
+    vectors are O(grid).  The first failing grid point raises
+    BandTouching: a gap at most gap_tol, else a singular right-vector
+    matrix.  Phase and residual agree to rounding with a point-by-point
+    two-solve loop that follows the band by eigenvector overlap.
 
     With delta = 0 the matrix is diagonal with constant eigenvectors, so
     each internal component is its own band and the loop phase vanishes
@@ -289,7 +270,7 @@ def zak_phase(spec: ModelSpec, band: str = "plus", grid: int = 4096,
         return ZakResult(band=band, phase=0.0, grid_points=grid, residual=0.0)
 
     lefts, rights = np.empty((2, grid, 2), dtype=complex)
-    residual, carry = 0.0, None
+    residual = 0.0
     for start in range(0, grid, BLOCK):
         k = np.arange(start, min(start + BLOCK, grid))
         p = np.arange(len(k))
@@ -305,19 +286,10 @@ def zak_phase(spec: ModelSpec, band: str = "plus", grid: int = 4096,
             raise BandTouching(f"left/right overlap vanished at grid point {start + q}")
         Lj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2) / det[:, None, None]
         R = VR.swapaxes(1, 2)  # R[p, j] is right vector j, Lj[p, j] its left row
-        prev = np.concatenate([Lj[:1] if carry is None else carry[None], Lj[:-1]])
-        follow = np.argmax(np.abs(prev @ VR), axis=2).tolist()
-        if carry is None:  # the band label picks the member at k = 0
-            member = int(np.argmax(w[0].real) if band == "plus" else np.argmin(w[0].real))
-            follow[0] = [member, member]
-        sel = []
-        for f in follow:
-            member = f[member]
-            sel.append(member)
-        sel = np.array(sel)
+        sel = np.argmax(w.real, axis=1) if band == "plus" else np.argmin(w.real, axis=1)
         other = R[p, 1 - sel]
         cross = np.einsum("pi,pi->p", Lj[p, sel], other) / np.linalg.norm(other, axis=1)
         residual = max(residual, float(np.abs(cross).max()))
-        lefts[k], rights[k], carry = Lj[p, sel], R[p, sel], Lj[-1]
+        lefts[k], rights[k] = Lj[p, sel], R[p, sel]
     return ZakResult(band=band, phase=wilson_loop_phase(lefts, rights),
                      grid_points=grid, residual=residual)

@@ -166,7 +166,7 @@ def test_continuum_ratio_balances_at_open_chain_eigenvalues(gamma, delta, L):
     assert np.abs(np.log(np.abs(lhs) / np.abs(rhs))).max() <= 1e-9
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(t=st.floats(0.3, 2.0), gamma=st.floats(0.0, 3.0), delta=st.floats(0.1, 1.5),
        L=st.integers(2, 8))
 def test_determinant_vanishes_at_open_chain_eigenvalues(t, gamma, delta, L):

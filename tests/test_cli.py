@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from nhskin.cli import MAX_ENERGIES, MAX_GRID, MAX_STEPS, main, ring_length
+from nhskin import ModelSpec, solve_beta
+from nhskin.cli import MAX_ENERGIES, MAX_GRID, MAX_STEPS, main
+from nhskin.errors import DegenerateLeadingCoeff
 from nhskin.model import MAX_SITES
 
 REFERENCE_CONFIG = {
@@ -325,12 +327,6 @@ def test_well_conditioned_spectrum_prints_no_warning(config_path, tmp_path, caps
     assert capsys.readouterr().err == ""
 
 
-def test_ring_length_rounding():
-    assert ring_length(96) == 96
-    assert ring_length(100) == 102
-    assert ring_length(4) == 6
-
-
 def test_boundary_command(config_path, tmp_path):
     out = str(tmp_path / "out")
     rc = main(["boundary", "--config", config_path(L=6), "--out", out,
@@ -433,6 +429,9 @@ def test_flag_overrides_config(config_path, tmp_path):
     assert len(rows) == 20
 
 
+DEGENERATE_LINE = ["--t", "1.25", "--gamma", "1.5", "--delta", "1"]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["profiles", "--selection", "bulk:x"], 1),
     (["profiles", "--selection", "bulk:"], 1),
@@ -451,7 +450,9 @@ def test_flag_overrides_config(config_path, tmp_path):
     # t = 0 closes the band gap on the unit circle
     (["zak", "--t", "0", "--gamma", "0.1", "--delta", "0.5"], 2),
     # delta^2 - t^2 + gamma^2/4 = 0: the quartic has two roots, not four
-    (["gbz", "--t", "1.25", "--gamma", "1.5", "--delta", "1"], 2),
+    (["gbz", *DEGENERATE_LINE], 2),
+    (["zak", *DEGENERATE_LINE], 2),
+    (["boundary", "--L-check", "10", *DEGENERATE_LINE], 2),
     # every size cap, one past it
     (["spectrum", "--L", str(MAX_SITES + 1)], 1),
     (["boundary", "--L-check", str(MAX_SITES + 1)], 1),
@@ -466,6 +467,11 @@ def test_bad_input_is_a_typed_error(config_path, tmp_path, capsys, argv, code):
     assert "Traceback" not in err
     label = "config error: " if code == 1 else "numerical error: "
     assert err.splitlines()[-1].startswith(label)
+    if argv[-len(DEGENERATE_LINE):] == DEGENERATE_LINE:
+        # every command refuses the line with solve_beta's one message
+        with pytest.raises(DegenerateLeadingCoeff) as refused:
+            solve_beta(ModelSpec(t=1.25, gamma=1.5, delta=1.0, num_sites=10), 0.0)
+        assert err.splitlines()[-1] == label + str(refused.value)
 
 
 def test_length_cap_covers_config_files(config_path, tmp_path, capsys):

@@ -152,7 +152,7 @@ def _specs():
         coupling, st.floats(0.0, 2.0 * np.pi))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(spec=_specs())
 def test_bonds_densify_to_the_loop_builder(spec):
     b = bonds(spec)
@@ -190,7 +190,7 @@ def test_zero_chain_has_no_bonds():
     assert isinstance(b, Bonds)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(spec=_specs())
 def test_bonds_particle_hole_exact(spec):
     # -tau_x H^T tau_x = H: bond (r, c, v) maps to (tau(c), tau(r), -v),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nhskin import (
     ModelSpec,
@@ -16,6 +16,7 @@ from nhskin import (
     ring_candidates,
     theorem_verdict,
 )
+from nhskin.cli import RING_SITES
 from nhskin.errors import ConfigError, DimMismatch, MalformedOperator, NonPositiveSize
 from nhskin.symmetry import (
     KIND_BLOCKED,
@@ -148,7 +149,7 @@ def test_two_site_ring_is_reducible():
     assert red and comps == [[0, 1], [2, 3]]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 0.15))
 def test_reducibility_matches_dense_reference_on_random_graphs(n, seed, density):
     # edges scattered in random order, so components need several rounds
@@ -212,7 +213,7 @@ def test_commutator_matches_dense_reference_bit_for_bit(L, boundary):
         _assert_matches_dense(spec, cands)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(L=st.integers(2, 20), ring=st.booleans(), gamma=st.floats(-3.0, 3.0),
        delta=st.sampled_from([0.0, 0.5, -1.2]), V=st.sampled_from([0.0, 2.0]),
        theta=st.floats(0.0, 2.0 * np.pi))
@@ -301,7 +302,7 @@ def test_verdict_never_blocked_for_reducible():
     assert v.kind == KIND_REDUCIBLE
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(L=st.sampled_from([6, 12, 18]),
        gamma=st.floats(-3.0, 3.0), delta=st.floats(-1.5, 1.5),
        theta=st.floats(0.0, 2.0 * np.pi))
@@ -318,6 +319,25 @@ def test_verdict_invariant_under_ring_translation(L, gamma, delta, theta):
         # theta + 2 pi/3 is rounded to a double, which moves the residual
         # by ~1e-15 absolute: relative agreement needs an absolute floor
         assert math.isclose(v1.commutator_residual, v2.commutator_residual,
+                            rel_tol=1e-12, abs_tol=1e-13)
+
+
+@settings(max_examples=100)
+@given(m=st.integers(2, 16), t=st.floats(0.1, 2.0), gamma=st.floats(-3.0, 3.0),
+       delta=st.floats(-1.5, 1.5), V=st.floats(0.0, 3.0), theta=st.floats(0.0, 2.0 * np.pi))
+@example(m=3, t=1.0, gamma=0.0, delta=0.0, V=1.0, theta=1.0039742960267685e-10)
+def test_ring_verdict_independent_of_ring_length(m, t, gamma, delta, V, theta):
+    # a ring of period-6 cells: the commutator and H grow alike with the
+    # number of cells, so sweep-theta's RING_SITES-site ring stands for any
+    spec = ModelSpec(t=t, gamma=gamma, delta=delta, big_v=V, theta=theta,
+                     num_sites=RING_SITES, boundary=PBC)
+    H1, H2 = bonds(spec), bonds(spec.replace(L=6 * m))
+    cands1, cands2 = ring_candidates(RING_SITES), ring_candidates(6 * m)
+    assert theorem_verdict(H1, cands1).kind == theorem_verdict(H2, cands2).kind
+    for c1, c2 in zip(cands1, cands2):
+        # each residual carries ~1e-16 absolute rounding: at theta ~ 1e-10
+        # it is ~1e-10 and the two rings differ by ~1e-6 of it
+        assert math.isclose(commutator_residual(H1, c1), commutator_residual(H2, c2),
                             rel_tol=1e-12, abs_tol=1e-13)
 
 
