@@ -10,14 +10,20 @@ prints the primary path and any warnings (spectrum, profiles and
 sweep-theta warn on stderr about ill-conditioned eigenvalues), and maps
 errors to exit codes.  Output is deterministic: identical configuration
 gives byte-identical files.  sweep-theta tests the symmetry on one
-RING_SITES-site ring, whatever L is; skin metrics come from the open
-chain of length L.  gbz, zak and boundary refuse the line
+RING_SITES-site ring at every step, whatever L is; skin metrics come from
+the open chain of length L, solved once per orbit of `model.theta_orbits`:
+H(theta + pi) = -G H(theta) G and H(-2 pi (L+1)/3 - theta) = M H(theta) M^T,
+with G = diag((-1)^n) on both Nambu halves and M = G tau_z tau_x (P + P)
+(P the site reversal), are exact signed-permutation similarities, so
+every member of an orbit takes its representative's accumulation,
+skin_detected and conditioning, and its skew times the orbit sign (-1
+where the mirror M maps it).  gbz, zak and boundary refuse the line
 delta^2 - t^2 + gamma^2/4 = 0 with the one message of `solve_beta`.
 Sizes are capped before any work starts (MAX_SITES for L and --L-check,
 MAX_GRID, MAX_STEPS, MAX_ENERGIES).
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
-error, 3 I/O.
+error (numpy's LinAlgError included), 3 I/O.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from . import svgplot
 from .boundary import boundary_determinant, continuum_ratio
 from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalError,
                      SelectionOutOfRange, UnsupportedPotential)
-from .model import MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
+from .model import (MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, theta_orbits,
+                    validate_spec)
 from .nonbloch import band_energies, gbz_modulus_report, zak_phase
 from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
                       KAPPA_EPS_BOUND, classify_states, eigendecompose, skin_metrics)
@@ -245,16 +252,21 @@ def cmd_zak(spec: ModelSpec, args) -> Output:
 
 def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     candidates = ring_candidates(RING_SITES)
-    rows, flagged, kappa = [], [], 0.0
-    for s in range(args.steps):
+    L, ell = spec.num_sites, resolve_ell(args, spec.num_sites)
+    # one eigensolve per orbit of the exact theta similarities; every other
+    # member reuses its representative's skin report and conditioning
+    solved, rows, flagged, kappa = {}, [], [], 0.0
+    for s, (rep, sign) in enumerate(theta_orbits(L, args.steps)):
         theta = 2.0 * np.pi * s / args.steps
-        obc_spec = spec.replace(theta=theta, boundary=OBC)
-        es = eigendecompose(build_bdg(obc_spec), num_sites=obc_spec.num_sites)
-        if len(es.ill_conditioned):
+        if rep == s:
+            es = eigendecompose(build_bdg(spec.replace(theta=theta, boundary=OBC)),
+                                num_sites=L)
+            solved[s] = (skin_metrics(es, L, args.tau_skin, ell, args.w_edge),
+                         es.condition.max() if len(es.ill_conditioned) else None)
+        report, worst = solved[rep]
+        if worst is not None:
             flagged.append(str(s))
-            kappa = max(kappa, es.condition.max())
-        report = skin_metrics(es, obc_spec.num_sites, args.tau_skin,
-                              resolve_ell(args, obc_spec.num_sites), args.w_edge)
+            kappa = max(kappa, worst)
         # the symmetry test runs on the periodic ring, where shifted
         # reflection centers are legitimate lattice maps
         H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=RING_SITES))
@@ -262,7 +274,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
         residual = verdict.commutator_residual
         if residual is None:
             residual = min(commutator_residual(H_ring, c) for c in candidates)
-        rows.append((s, theta, residual, verdict.kind, report.skew,
+        rows.append((s, theta, residual, verdict.kind, sign * report.skew,
                      report.accumulation, report.skin_detected))
     plotted = [(r[1], max(r[2], 1e-18), r[5]) for r in rows]
     figure = _scatter(plotted, 0, ("commutator residual", "theta", "residual", [1]),
@@ -332,8 +344,10 @@ COMMANDS = (
 
 
 # First match wins: the error label printed to stderr and the exit code.
+# numpy's LinAlgError is a solver that failed outside nhskin's own checks.
 EXIT_CODES = ((ConfigError, "config error", 1), (NumericalError, "numerical error", 2),
-              (NhskinError, "error", 2), (OSError, "io error", 3))
+              (np.linalg.LinAlgError, "numerical error", 2), (NhskinError, "error", 2),
+              (OSError, "io error", 3))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -377,7 +391,7 @@ def main(argv=None) -> int:
         for text in result.warnings:
             print(f"warning: {text}", file=sys.stderr)
         return 0
-    except (NhskinError, OSError) as exc:
+    except tuple(kind for kind, _, _ in EXIT_CODES) as exc:
         label, code = next((label, code) for kind, label, code in EXIT_CODES
                            if isinstance(exc, kind))
         print(f"{label}: {exc}", file=sys.stderr)

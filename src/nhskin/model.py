@@ -152,3 +152,40 @@ def build_bdg(spec: ModelSpec) -> np.ndarray:
     H = np.zeros((b.dim, b.dim))
     H[b.rows, b.cols] = b.vals
     return H
+
+
+def theta_orbits(num_sites: int, steps: int) -> list[tuple[int, int]]:
+    """(representative step, skew sign) for each step of the grid
+    theta_s = 2 pi s / steps of the open chain of num_sites sites.
+
+    H is linear in (t, gamma, delta, V), and two exact signed-permutation
+    similarities relate open chains at different theta (sites n = 1..L):
+
+    (A) theta -> theta + pi:  H(theta + pi) = -G H(theta) G with
+        G = diag((-1)^n) on both Nambu halves.  Energies change sign and
+        site densities are unchanged.  On the grid: s -> s + steps/2,
+        when steps is even.
+    (B) theta -> -2 pi (L+1)/3 - theta:  H = M H(theta) M^T with
+        M = G tau_z tau_x (P + P), P the site reversal n -> L+1-n, that is
+        M[n, L + (L+1-n)] = (-1)^n and M[L+n, L+1-n] = -(-1)^n (1-based
+        rows and columns).  Energies are unchanged and site densities are
+        mirrored, so the signed skew changes sign.  On the grid:
+        s -> (-steps (L+1)/3 - s) mod steps, when 3 divides steps (L+1).
+
+    Both maps are involutions and commute, so an orbit is {s, As, Bs, ABs};
+    its representative is its smallest step.  A member reached by A (or
+    the representative itself) has sign +1, one reached only by B or AB
+    sign -1.  Where a map leaves the grid, the orbits are singletons of it.
+    """
+    half = steps // 2 if steps % 2 == 0 else 0  # off the grid, A acts as the identity
+    mirror, shift = steps * (num_sites + 1) % 3 == 0, steps * (num_sites + 1) // 3
+    orbits: list = [None] * steps
+    for s in range(steps):
+        if orbits[s] is None:
+            members = [(s, 1), (s + half, 1)]
+            if mirror:
+                members += [(-shift - s, -1), (-shift - s - half, -1)]
+            for m, sign in members:
+                if orbits[m % steps] is None:
+                    orbits[m % steps] = (s, sign)
+    return orbits

@@ -145,9 +145,12 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
 
     Goes through the x = beta - beta^-1 substitution: a quadratic for x
     (both square-root signs retained, so the branch cut drops out), then
-    beta^2 - x beta - 1 = 0 per branch.  The pair product -1 is exact by
-    construction.  On the line delta^2 - t^2 + gamma^2/4 = 0 (relative
-    to the couplings) the quartic has two roots only; every caller needs
+    beta^2 - x beta - 1 = 0 per branch.  Each quadratic's smaller root
+    comes from its root product, not from a difference that cancels, so
+    the middle moduli stay on the unit circle at band energies (to ~3e-8)
+    also 1e-13 next to the line below.  The pair product -1 is exact by
+    construction.  On the line delta^2 - t^2 + gamma^2/4 = 0 (relative to
+    the couplings) the quartic has two roots only; every caller needs
     four, so it raises DegenerateLeadingCoeff.
     """
     validate_spec(spec)
@@ -156,12 +159,23 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
         raise DegenerateLeadingCoeff(
             "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, not four")
     E = np.asarray(E, dtype=complex).ravel()
-    Eg = E * spec.gamma
-    sq = np.sqrt(Eg ** 2 - 4.0 * a * (E * E - 4.0 * spec.t ** 2))
-    x = np.stack([(-Eg + sq) / (2.0 * a), (-Eg - sq) / (2.0 * a)], axis=1)
-    # roots of beta^2 - x beta - 1 = 0 per branch, smaller modulus first
+    Eg, c = E * spec.gamma, E * E - 4.0 * spec.t ** 2
+    sq = np.sqrt(Eg ** 2 - 4.0 * a * c)
+    # a x^2 + E gamma x + c = 0: the larger root from the sign of sq that
+    # does not cancel against -E gamma, the smaller from the root product
+    # c / a; column 0 is the +sq branch, column 1 the -sq branch
+    plus = (Eg.conj() * sq).real < 0.0
+    q = -Eg - np.where(plus, -sq, sq)
+    large = q / (2.0 * a)
+    small = np.divide(2.0 * c, q, out=np.zeros_like(q), where=q != 0)  # q = 0: x = 0 twice
+    x = np.where(plus[:, None], np.stack([large, small], axis=1),
+                 np.stack([small, large], axis=1))
+    # roots (x +- r) / 2 of beta^2 - x beta - 1 = 0 per branch: the larger
+    # without cancellation, the smaller as -1 over it; smaller modulus first
     r = np.sqrt(x * x + 4.0)
-    pair = np.stack([(x + r) / 2.0, (x - r) / 2.0], axis=2)
+    r = np.where((x.conj() * r).real < 0.0, -r, r)
+    big = (x + r) / 2.0
+    pair = np.stack([big, -1.0 / big], axis=2)
     m, ang = np.abs(pair), np.angle(pair)
     swap = (m[..., 0] > m[..., 1]) | ((m[..., 0] == m[..., 1]) & (ang[..., 0] > ang[..., 1]))
     roots = np.where(swap[..., None], pair[..., ::-1], pair).reshape(-1, 4)

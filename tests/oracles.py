@@ -8,7 +8,9 @@ per-vector density profile checks the array pass of `classify_states`;
 the per-energy beta quartet and boundary determinant check their
 batched forms, to a tolerance, since numpy's complex array arithmetic
 rounds differently from Python's; the dense model builder, reflections
-and reducibility test are the references for the bond-list code.
+and reducibility test are the references for the bond-list code; the
+sweep loop with one eigensolve per step is the reference for
+`sweep-theta`'s one eigensolve per theta orbit.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from itertools import permutations
 import numpy as np
 
 from nhskin.errors import BandTouching, ConfigError, NonPositiveSize
-from nhskin.model import PBC, Bonds, onsite_potential, validate_spec
-from nhskin.symmetry import PAULI
+from nhskin.model import OBC, PBC, Bonds, bonds, build_bdg, onsite_potential, validate_spec
+from nhskin.spectra import eigendecompose, skin_metrics
+from nhskin.symmetry import PAULI, commutator_residual, ring_candidates, theorem_verdict
 
 
 def bloch_matrix_scalar(spec, beta) -> np.ndarray:
@@ -295,3 +298,25 @@ def set_distance(a: np.ndarray, b: np.ndarray) -> float:
 def negation_distance(values: np.ndarray) -> float:
     """How far the spectrum is from its own negation (particle-hole test)."""
     return set_distance(values, -np.asarray(values))
+
+
+def sweep_theta_loop(spec, args, ring_sites: int, ell: int):
+    """`sweep-theta`'s rows and ill-conditioned steps with one eigensolve
+    and skin report per step: (rows, flagged steps)."""
+    candidates = ring_candidates(ring_sites)
+    rows, flagged = [], []
+    for s in range(args.steps):
+        theta = 2.0 * np.pi * s / args.steps
+        obc_spec = spec.replace(theta=theta, boundary=OBC)
+        es = eigendecompose(build_bdg(obc_spec), num_sites=obc_spec.num_sites)
+        if len(es.ill_conditioned):
+            flagged.append(s)
+        report = skin_metrics(es, obc_spec.num_sites, args.tau_skin, ell, args.w_edge)
+        H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=ring_sites))
+        verdict = theorem_verdict(H_ring, candidates, args.tol)
+        residual = verdict.commutator_residual
+        if residual is None:
+            residual = min(commutator_residual(H_ring, c) for c in candidates)
+        rows.append((s, theta, residual, verdict.kind, report.skew,
+                     report.accumulation, report.skin_detected))
+    return rows, flagged

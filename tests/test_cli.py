@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from nhskin import ModelSpec, solve_beta
+from nhskin import ModelSpec, cli, solve_beta
 from nhskin.cli import MAX_ENERGIES, MAX_GRID, MAX_STEPS, main
 from nhskin.errors import DegenerateLeadingCoeff
-from nhskin.model import MAX_SITES
+from nhskin.model import MAX_SITES, theta_orbits
+from oracles import sweep_theta_loop
 
 REFERENCE_CONFIG = {
     "t": 1.0, "gamma": 1.5, "delta": 0.5,
@@ -374,6 +375,49 @@ def test_sweep_warns_about_ill_conditioned_steps(config_path, tmp_path, capsys):
     assert {"2", "14"} <= set(steps)
     kappa = float(err[0].split("max kappa ")[1].split(")")[0])
     assert 1e-5 < kappa * np.finfo(float).eps < 1e-3
+
+
+@pytest.mark.parametrize("L, steps, model, orbits", [
+    (96, 24, SEED0_SWEEP, 7),
+    (95, 24, SEED0_SWEEP, 7),
+    (40, 8, SEED0_SWEEP, 4),       # 3 does not divide 8 * 41: theta + pi only
+    (40, 9, SEED0_SWEEP, 5),       # odd steps: the mirror map only
+    (39, 12, DEFECTIVE_CONFIG, 4),  # step 1 holds an exceptional point
+])
+def test_sweep_solves_once_per_theta_orbit(monkeypatch, L, steps, model, orbits):
+    spec = ModelSpec.from_dict({**REFERENCE_CONFIG, **model, "L": L})
+    args = cli.build_parser().parse_args(["sweep-theta", "--steps", str(steps)])
+    solves = []
+    eigendecompose = cli.eigendecompose
+    monkeypatch.setattr(cli, "eigendecompose",
+                        lambda *a, **k: solves.append(1) or eigendecompose(*a, **k))
+    out = cli.cmd_sweep_theta(spec, args)
+    orbit = theta_orbits(L, steps)
+    assert len(solves) == orbits == len({rep for rep, _ in orbit})
+    want, flagged = sweep_theta_loop(spec, args, cli.RING_SITES, cli.resolve_ell(args, L))
+    assert len(out.rows) == len(want) == steps
+    for got, ref in zip(out.rows, want):
+        # theta, residual and verdict come from the ring at every step
+        assert got[:4] == ref[:4] and got[6] == ref[6]
+        if got[0] not in flagged:
+            assert got[4] == pytest.approx(ref[4], rel=0, abs=1e-10)
+            assert got[5] == pytest.approx(ref[5], rel=0, abs=1e-10)
+    for s, (rep, sign) in enumerate(orbit):
+        assert out.rows[s][5] == out.rows[rep][5]
+        assert out.rows[s][4] == sign * out.rows[rep][4]
+    # kappa is similarity-invariant: the same steps are flagged
+    listed = out.warnings[0].split("steps ")[1].split(" are ")[0] if out.warnings else ""
+    assert listed == ", ".join(map(str, flagged))
+
+
+def test_solver_failure_is_a_numerical_error(config_path, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    rc = main(["boundary", "--config", config_path(), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "numerical error: Eigenvalues did not converge\n"
 
 
 def test_config_error_exit_code(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nhskin import Bonds, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
 from nhskin.errors import NonFinite, NonPositiveSize, PbcPeriodMismatch
-from nhskin.model import onsite_potential
+from nhskin.model import onsite_potential, theta_orbits
 from oracles import build_bdg_loop
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
@@ -202,3 +202,57 @@ def test_bonds_particle_hole_exact(spec):
     assert np.array_equal(rows[order], b.rows)
     assert np.array_equal(cols[order], b.cols)
     assert np.array_equal(-b.vals[order], b.vals)
+
+
+def _densify(rows, cols, vals, dim):
+    H = np.zeros((dim, dim))
+    np.add.at(H, (rows, cols), vals)
+    return H
+
+
+@settings(max_examples=100)
+@given(L=st.integers(2, 40), gamma=st.floats(-2.0, 2.0), delta=st.floats(-2.0, 2.0),
+       V=st.floats(-2.0, 2.0), theta=st.floats(0.0, 2.0 * np.pi))
+def test_theta_similarities_on_bonds(L, gamma, delta, V, theta):
+    # the two exact similarities of `theta_orbits`, applied to the bond list
+    spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, big_v=V, theta=theta, num_sites=L)
+    b = bonds(spec)
+    tol = 1e-13 * max(np.linalg.norm(b.vals), 1e-300)
+    n = np.arange(1, L + 1)
+    g = np.concatenate([(-1.0) ** n] * 2)
+    # (A) H(theta + pi) = -G H G
+    HA = _densify(b.rows, b.cols, -g[b.rows] * g[b.cols] * b.vals, b.dim)
+    assert np.abs(build_bdg(spec.replace(theta=theta + np.pi)) - HA).max() <= tol
+    # (B) H(-2 pi (L+1)/3 - theta) = M H M^T, M the signed permutation of the
+    # docstring: M[n, 2L+1-n] = (-1)^n and M[L+n, L+1-n] = -(-1)^n (1-based)
+    image = np.concatenate([2 * L - n, L - n])  # 0-based column -> row of M
+    sign = np.concatenate([-(-1.0) ** (L + 1 - n), (-1.0) ** (L + 1 - n)])
+    M = np.zeros((b.dim, b.dim))
+    M[image, np.arange(b.dim)] = sign
+    M_doc = np.zeros((b.dim, b.dim))
+    M_doc[n - 1, 2 * L - n] = (-1.0) ** n
+    M_doc[L + n - 1, L - n] = -(-1.0) ** n
+    P = np.eye(L)[::-1]
+    tau_zx = np.array([[0.0, 1.0], [-1.0, 0.0]])  # tau_z tau_x
+    assert np.array_equal(M, M_doc)
+    assert np.array_equal(M, np.diag(g) @ np.kron(tau_zx, P))
+    HB = _densify(image[b.rows], image[b.cols], sign[b.rows] * sign[b.cols] * b.vals, b.dim)
+    assert np.array_equal(HB, M @ build_bdg(spec) @ M.T)
+    theta_b = -2.0 * np.pi * (L + 1) / 3.0 - theta
+    assert np.abs(build_bdg(spec.replace(theta=theta_b)) - HB).max() <= tol
+
+
+@pytest.mark.parametrize("L, steps, orbits", [
+    (96, 24, 7), (95, 24, 7), (94, 24, 7), (40, 8, 4), (40, 9, 5), (40, 7, 7), (39, 12, 4),
+])
+def test_theta_orbits_follow_the_two_grid_maps(L, steps, orbits):
+    orbit = theta_orbits(L, steps)
+    assert len({rep for rep, _ in orbit}) == orbits
+    for s, (rep, sign) in enumerate(orbit):
+        assert rep <= s and orbit[rep] == (rep, 1)
+        # rep reaches s by A (s - rep = steps/2), by B (s + rep + steps (L+1)/3 = 0)
+        # or by AB, all mod steps; the sign says whether a mirror was used
+        by_a = (s - rep) % steps in ((0,) if steps % 2 else (0, steps // 2))
+        by_b = (steps * (L + 1) % 3 == 0 and (s + rep + steps * (L + 1) // 3)
+                % steps in ((0,) if steps % 2 else (0, steps // 2)))
+        assert (by_a and sign == 1) or (by_b and not by_a and sign == -1)

@@ -143,6 +143,16 @@ def test_degenerate_leading_coefficient_flagged():
             solve_beta(spec, E)
 
 
+@pytest.mark.parametrize("off", [1e-6, 7e-11, 1e-12, 1e-13])
+def test_middle_moduli_hold_next_to_the_degenerate_line(off):
+    # delta^2 - t^2 + gamma^2/4, the x quadratic's leading coefficient, is
+    # ~2 sqrt(0.75) off here: its smaller root must not cancel, nor the
+    # smaller beta of each branch
+    spec = ModelSpec(t=1.0, gamma=1.0, delta=np.sqrt(0.75) + off, num_sites=10)
+    q = solve_beta(spec, band_energies(spec, 50, 0.5))
+    assert q.mid_deviation.max() <= 1e-7
+
+
 def test_continuum_condition_on_band_energies():
     q = solve_beta(REFERENCE, band_energies(REFERENCE, 17))
     assert np.isin(q.continuum_case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
