@@ -12,7 +12,6 @@ from .model import Bonds, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
 from .symmetry import (
     SymmetryOp,
     Verdict,
-    build_combined,
     commutator_residual,
     default_candidates,
     is_reducible,
@@ -50,7 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bonds", "ModelSpec", "OBC", "PBC", "bonds", "build_bdg", "validate_spec",
-    "SymmetryOp", "Verdict", "build_combined",
+    "SymmetryOp", "Verdict",
     "commutator_residual", "default_candidates", "is_reducible",
     "ring_candidates", "theorem_verdict",
     "EigenSystem", "SkinReport", "StateTable", "classify_states",

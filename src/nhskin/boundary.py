@@ -27,9 +27,9 @@ stays O(1) off the spectrum, and drops to rounding level exactly at the
 quantized energies, while raw determinants over/underflow once beta^L
 spans many decades.  The powers beta^L are therefore kept as logarithms
 and enter each Leibniz term relative to the largest pair of columns.
-Every function takes an array of n energies: the 24 Leibniz terms of
-all n matrices come from one gather over a fixed (24, 4) permutation
-table with its signs.
+The chain length L is the spec's `num_sites`.  Every function takes an
+array of n energies: the 24 Leibniz terms of all n matrices come from
+one gather over a fixed (24, 4) permutation table with its signs.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def boundary_coeffs(spec: ModelSpec, E, roots: np.ndarray) -> np.ndarray:
     return np.stack([A, B, C, D], axis=1)
 
 
-def boundary_matrix(spec: ModelSpec, E, L: int) -> tuple[np.ndarray, np.ndarray]:
+def boundary_matrix(spec: ModelSpec, E) -> tuple[np.ndarray, np.ndarray]:
     """The 4x4 condition matrices at the n energies E, in factored form
     (M, g) of shapes (n, 4, 4) and (n, 4).
 
@@ -94,22 +94,22 @@ def boundary_matrix(spec: ModelSpec, E, L: int) -> tuple[np.ndarray, np.ndarray]
     b = q.roots[:, COLUMN_ORDER]
     M = boundary_coeffs(spec, q.energy, b)
     M[:, 3] *= b
-    return M, (L - 1) * np.log(b)
+    return M, (spec.num_sites - 1) * np.log(b)
 
 
-def boundary_determinant(spec: ModelSpec, E, L: int) -> np.ndarray:
+def boundary_determinant(spec: ModelSpec, E) -> np.ndarray:
     """Condition determinant normalized by its largest Leibniz term, at
     each energy of E.
 
-    Zero (to rounding) exactly at open-chain eigenvalues of length L;
-    O(1) away from them.  The determinant is the sum of the 24 Leibniz
-    terms of `boundary_matrix`, each with its two powers of beta taken
-    as one exponential relative to the largest pair of columns; rows are
-    pre-scaled to unit max magnitude.  The reported ratio is independent
-    of both scalings, and at any L only terms below ~1e-308 of the
-    largest underflow.
+    Zero (to rounding) exactly at the eigenvalues of the open chain of
+    spec.num_sites sites; O(1) away from them.  The determinant is the
+    sum of the 24 Leibniz terms of `boundary_matrix`, each with its two
+    powers of beta taken as one exponential relative to the largest pair
+    of columns; rows are pre-scaled to unit max magnitude.  The reported
+    ratio is independent of both scalings, and at any L only terms below
+    ~1e-308 of the largest underflow.
     """
-    M, g = boundary_matrix(spec, E, L)
+    M, g = boundary_matrix(spec, E)
     M = M / np.maximum(np.abs(M).max(axis=2, keepdims=True), 1e-300)
     g = g - np.sort(g.real, axis=1)[:, -2:].sum(axis=1, keepdims=True) / 2
     P = PERMUTATIONS
@@ -118,7 +118,7 @@ def boundary_determinant(spec: ModelSpec, E, L: int) -> np.ndarray:
     return terms.sum(axis=1) / np.maximum(np.abs(terms).max(axis=1), 1e-300)
 
 
-def continuum_ratio(spec: ModelSpec, E, L: int) -> tuple[np.ndarray, np.ndarray]:
+def continuum_ratio(spec: ModelSpec, E) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the two-leading-terms balance, at each energy of E.
 
     When the middle modulus pair is the '-' branch the relation reads
@@ -132,8 +132,8 @@ def continuum_ratio(spec: ModelSpec, E, L: int) -> tuple[np.ndarray, np.ndarray]
     and 4 of column j share the factor b_j^(L-1).  The middle pair is
     picked by modulus rank, '-' on a tie: the '-' pair when
     |b_1+| <= |b_1-|.  The two sides agree at the bulk eigenvalues of
-    the open chain of length L, not at its two end modes near E = 0; on
-    a continuum band |lhs| = 1.
+    the open chain of L = spec.num_sites sites, not at its two end modes
+    near E = 0; on a continuum band |lhs| = 1.
     """
     q = solve_beta(spec, E)
     cf = boundary_coeffs(spec, q.energy, q.roots)
@@ -143,7 +143,7 @@ def continuum_ratio(spec: ModelSpec, E, L: int) -> tuple[np.ndarray, np.ndarray]
     b = np.take_along_axis(q.roots, idx, axis=1).T
     A, B, C, D = np.take_along_axis(cf, idx[:, None], axis=2).transpose(1, 2, 0)
     # index 0, 1, 2, 3 of b, A, B, C, D is 1p, 2p, 1m, 2m
-    lhs = (b[2] / b[3]) ** (L - 1)
+    lhs = (b[2] / b[3]) ** (spec.num_sites - 1)
     num = (A[0] * B[2] - A[2] * B[0]) * (C[3] * D[1] * b[1] - C[1] * D[3] * b[3])
     den = (A[0] * B[3] - A[3] * B[0]) * (C[2] * D[1] * b[1] - C[1] * D[2] * b[2])
     if np.any(den == 0.0):

@@ -9,7 +9,9 @@ the primary file into --out and, under --svg, <stem>.svg beside it,
 prints the primary path and any warnings (spectrum, profiles and
 sweep-theta warn on stderr about ill-conditioned eigenvalues), and maps
 errors to exit codes.  Output is deterministic: identical configuration
-gives byte-identical files.  sweep-theta tests the symmetry on one
+gives byte-identical files.  symmetry tests the 8 open-chain candidates,
+and on a ring whose length is a multiple of 6 then the 6 ring centers
+of `ring_candidates`.  sweep-theta tests the symmetry on one
 RING_SITES-site ring at every step, whatever L is; skin metrics come from
 the open chain of length L, solved once per orbit of `model.theta_orbits`:
 H(theta + pi) = -G H(theta) G and H(-2 pi (L+1)/3 - theta) = M H(theta) M^T,
@@ -152,7 +154,7 @@ def _ill_conditioned(which: str, kappa: float) -> str:
 def _classified(spec: ModelSpec, args):
     """State table and conditioning warnings of the chain; a defective
     cluster has no well-defined states, so per-state output refuses it."""
-    es = eigendecompose(build_bdg(spec), num_sites=spec.num_sites)
+    es = eigendecompose(build_bdg(spec), spec.num_sites)
     if es.defective:
         raise DegenerateAmbiguity(
             f"{len(es.defective)} eigenvalues in defective clusters, "
@@ -160,8 +162,7 @@ def _classified(spec: ModelSpec, args):
     flagged = es.ill_conditioned
     warnings = [_ill_conditioned(f"{len(flagged)} of {es.dim} eigenvalues are",
                                  es.condition.max())] if len(flagged) else []
-    return classify_states(es, spec.num_sites,
-                           resolve_ell(args, spec.num_sites), args.w_edge), warnings
+    return classify_states(es, resolve_ell(args, spec.num_sites), args.w_edge), warnings
 
 
 def cmd_spectrum(spec: ModelSpec, args) -> Output:
@@ -225,8 +226,10 @@ def cmd_profiles(spec: ModelSpec, args) -> Output:
 
 
 def cmd_symmetry(spec: ModelSpec, args) -> Output:
-    verdict = theorem_verdict(bonds(spec), default_candidates(spec.num_sites),
-                              args.tol)
+    candidates = default_candidates()
+    if spec.boundary == PBC and spec.num_sites % 6 == 0:
+        candidates += ring_candidates()
+    verdict = theorem_verdict(bonds(spec), candidates, args.tol)
     return Output("verdict.json", payload=verdict.to_dict())
 
 
@@ -251,7 +254,7 @@ def cmd_zak(spec: ModelSpec, args) -> Output:
 
 
 def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
-    candidates = ring_candidates(RING_SITES)
+    candidates = ring_candidates()
     L, ell = spec.num_sites, resolve_ell(args, spec.num_sites)
     # one eigensolve per orbit of the exact theta similarities; every other
     # member reuses its representative's skin report and conditioning
@@ -259,9 +262,8 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     for s, (rep, sign) in enumerate(theta_orbits(L, args.steps)):
         theta = 2.0 * np.pi * s / args.steps
         if rep == s:
-            es = eigendecompose(build_bdg(spec.replace(theta=theta, boundary=OBC)),
-                                num_sites=L)
-            solved[s] = (skin_metrics(es, L, args.tau_skin, ell, args.w_edge),
+            es = eigendecompose(build_bdg(spec.replace(theta=theta, boundary=OBC)), L)
+            solved[s] = (skin_metrics(es, args.tau_skin, ell, args.w_edge),
                          es.condition.max() if len(es.ill_conditioned) else None)
         report, worst = solved[rep]
         if worst is not None:
@@ -293,8 +295,8 @@ def cmd_boundary(spec: ModelSpec, args) -> Output:
     chain = spec.replace(L=L, boundary=OBC)
     evals = np.linalg.eigvals(build_bdg(chain))
     E = evals[np.lexsort((evals.imag, evals.real))]
-    norm_det = np.abs(boundary_determinant(chain, E, L))
-    lhs, rhs = continuum_ratio(chain, E, L)
+    norm_det = np.abs(boundary_determinant(chain, E))
+    lhs, rhs = continuum_ratio(chain, E)
     rows = list(zip(E.real, E.imag, [L] * len(E), norm_det, np.abs(lhs), np.abs(rhs)))
     return Output("boundary.csv", ["re_E", "im_E", "L", "norm_det", "lhs_abs", "rhs_abs"], rows,
                   figure=_scatter(rows, 0, ("determinant at eigenvalues", "Re E",

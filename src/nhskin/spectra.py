@@ -17,6 +17,8 @@ non-reciprocal chains have exponentially large kappa, so their computed
 spectrum is only good to about kappa * eps relative to |H|; states past
 KAPPA_EPS_BOUND are flagged (`EigenSystem.ill_conditioned`).
 
+The eigensystem records its chain length L (the matrix is L x L, or
+the doubled 2L x 2L), so the localization functions take no length.
 Localization is computed for all states in one array pass
 (`classify_states` returns a `StateTable` of arrays): each state's site
 density folded over internal components, its center of mass, the weight
@@ -65,7 +67,8 @@ ZERO_MODE_RTOL = 1e-8
 
 @dataclass
 class EigenSystem:
-    """Eigenvalues with biorthogonal right (columns) and left (rows) vectors.
+    """Eigenvalues with biorthogonal right (columns) and left (rows) vectors
+    of a chain of `num_sites` sites.
 
     `condition[i]` is kappa_i = |l_i| |r_i| / |l_i . r_i|, the eigenvalue
     condition number (inf where the left row overflowed).  `defective`
@@ -79,6 +82,7 @@ class EigenSystem:
     right: np.ndarray
     left: np.ndarray
     condition: np.ndarray
+    num_sites: int
     defective: list[int] = field(default_factory=list)
 
     @property
@@ -119,25 +123,26 @@ class SkinReport:
     skew: float
     accumulation: float
     skin_detected: bool
-    tau_skin: float
 
 
-def eigendecompose(H: np.ndarray, num_sites: int | None = None) -> EigenSystem:
+def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
     """Full biorthogonal eigensystem of a dense matrix.
 
     Parameters
     ----------
     H : square real or complex matrix with finite entries; a real one
         runs in real arithmetic
-    num_sites : number of lattice sites L when H is the doubled 2L x 2L
-        matrix; used to fold the position observable that disentangles
-        degenerate clusters.  None treats each matrix index as a site.
+    num_sites : number of lattice sites L; H is L x L, or the doubled
+        2L x 2L matrix whose halves are the two internal components.
+        Sets the position observable that disentangles degenerate
+        clusters, and is stored on the result.
 
     Eigenvalues closer than CLUSTER_TOL are handled as one degenerate
     cluster.
 
     Raises
     ------
+    DimMismatch : H is neither L x L nor 2L x 2L.
     ConvergenceFailure : solver failure, or a numerically singular
         eigenvector basis that no exceptional point explains.
     DegenerateAmbiguity : a healthy degenerate cluster that the position
@@ -148,6 +153,8 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None) -> EigenSystem:
     N = H.shape[0]
     if H.shape[0] != H.shape[1]:
         raise ConvergenceFailure(f"matrix is not square: {H.shape}")
+    if N not in (num_sites, 2 * num_sites):
+        raise DimMismatch(f"matrix size {N} is neither {num_sites} sites nor twice that")
     if not np.isfinite(H).all():
         raise ConvergenceFailure("matrix has non-finite entries")
     try:
@@ -163,10 +170,7 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None) -> EigenSystem:
         except np.linalg.LinAlgError:
             left = np.full_like(right, np.nan)
 
-    if num_sites is not None and 2 * num_sites == N:
-        pos = np.concatenate([np.arange(1, num_sites + 1)] * 2).astype(float)
-    else:
-        pos = np.arange(1, N + 1, dtype=float)
+    pos = np.tile(np.arange(1.0, num_sites + 1), N // num_sites)
 
     D = np.abs(w[:, None] - w[None, :])
     # two unit right vectors this parallel have |E_i - E_j| below
@@ -216,7 +220,7 @@ def eigendecompose(H: np.ndarray, num_sites: int | None = None) -> EigenSystem:
     if not defective and not np.isfinite(condition).all():
         raise ConvergenceFailure("eigenvector basis is numerically singular")
     return EigenSystem(values=w, right=right, left=left, condition=condition,
-                       defective=defective)
+                       num_sites=num_sites, defective=defective)
 
 
 def density_profile(vectors: np.ndarray, num_sites: int):
@@ -244,23 +248,22 @@ def density_profile(vectors: np.ndarray, num_sites: int):
     return rho, com, 1.0 / (rho ** 2).sum(axis=1)
 
 
-def classify_states(es: EigenSystem, num_sites: int,
-                    ell: int = DEFAULT_EDGE_SITES,
+def classify_states(es: EigenSystem, ell: int = DEFAULT_EDGE_SITES,
                     w_edge: float = DEFAULT_EDGE_WEIGHT) -> StateTable:
     """State table of the eigensystem; a state is an edge state when its
     outer-ell-site weight exceeds w_edge."""
-    if not (1 <= ell <= num_sites // 2):
+    L = es.num_sites
+    if not (1 <= ell <= L // 2):
         raise ConfigError(f"ell must lie in [1, L/2], got {ell}")
     if not (0.0 <= w_edge <= 1.0):
         raise ConfigError(f"w_edge must lie in [0, 1], got {w_edge}")
-    rho, com, pr = density_profile(es.right, num_sites)
-    edge = rho[:, :ell].sum(axis=1) + rho[:, num_sites - ell:].sum(axis=1)
+    rho, com, pr = density_profile(es.right, L)
+    edge = rho[:, :ell].sum(axis=1) + rho[:, L - ell:].sum(axis=1)
     return StateTable(energy=es.values, density=rho, center_of_mass=com,
                       participation_ratio=pr, edge_weight=edge, is_edge=edge > w_edge)
 
 
-def skin_metrics(es: EigenSystem, num_sites: int,
-                 tau_skin: float = DEFAULT_TAU_SKIN,
+def skin_metrics(es: EigenSystem, tau_skin: float = DEFAULT_TAU_SKIN,
                  ell: int = DEFAULT_EDGE_SITES,
                  w_edge: float = DEFAULT_EDGE_WEIGHT) -> SkinReport:
     """Aggregate skin diagnostic over the bulk states.
@@ -275,16 +278,13 @@ def skin_metrics(es: EigenSystem, num_sites: int,
     """
     if not (0.0 < tau_skin < 1.0):
         raise ConfigError(f"tau_skin must lie in (0, 1), got {tau_skin}")
-    st = classify_states(es, num_sites, ell, w_edge)
+    st = classify_states(es, ell, w_edge)
     scale = max(np.abs(es.values).max(), 1e-300)
     bulk = ~(st.is_edge & (np.abs(st.energy) <= ZERO_MODE_RTOL * scale))
     if not bulk.any():
         raise NoBulkStates("all states were classified as topological end modes")
-    disp = (st.center_of_mass[bulk] - (num_sites + 1) / 2.0) / (num_sites / 2.0)
+    L = es.num_sites
+    disp = (st.center_of_mass[bulk] - (L + 1) / 2.0) / (L / 2.0)
     accumulation = float(np.abs(disp).mean())
-    return SkinReport(
-        skew=float(disp.mean()),
-        accumulation=accumulation,
-        skin_detected=bool(accumulation > tau_skin),
-        tau_skin=tau_skin,
-    )
+    return SkinReport(skew=float(disp.mean()), accumulation=accumulation,
+                      skin_detected=bool(accumulation > tau_skin))

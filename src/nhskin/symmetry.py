@@ -18,9 +18,10 @@ symmetric.
 
 Every candidate is a signed permutation of the 2L doubled indices:
 index k goes to sigma[k] with a coefficient in {+1, -1, +i, -i}.  A
-`SymmetryOp` holds only the fields that define it (internal factor,
-staggering, length, center).  H arrives as its bond list
-(`nhskin.model.Bonds`): the residual and the Hermitian gate are O(nnz).
+`SymmetryOp` is an operator family, defined for every length by its
+internal factor, staggering and center; `signed_permutation(L)` fixes
+the length.  H arrives as its bond list (`nhskin.model.Bonds`), whose
+dim = 2L sets L: the residual and the Hermitian gate are O(nnz).
 """
 
 from __future__ import annotations
@@ -52,29 +53,32 @@ KIND_HERMITIAN = "hermitian_no_skin"
 class SymmetryOp:
     """A combined-reflection candidate: internal 2x2 factor x signed site reflection.
 
-    The operator is a signed permutation, defined by its fields alone;
-    `signed_permutation` returns the index map and its coefficients.
+    The operator is a signed permutation on any length L;
+    `signed_permutation(L)` returns its index map and coefficients.
     """
 
     internal_label: str
     spatial_signed: bool
-    sites: int
     center: int | None = None  # None: open-chain mirror n -> L+1-n
 
     def __post_init__(self) -> None:
         if self.internal_label not in PAULI:
             raise MalformedOperator(f"unknown internal factor {self.internal_label!r}")
-        if self.sites < 2:
-            raise NonPositiveSize(f"reflection needs L >= 2, got {self.sites}")
 
-    def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma, coeff) with S[k, sigma[k]] = coeff[k] and zeros elsewhere.
+    def signed_permutation(self, L: int) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, coeff) with S[k, sigma[k]] = coeff[k] and zeros elsewhere,
+        on L sites.
 
         Doubled index k = a L + i (component a, 0-based site i) goes to the
         internal factor's image of a and the mirror image of i; coeff[k]
         is the internal entry times the staggering sign (-1)^(i+1).
+        Raises NonPositiveSize for L < 2, and for a ring center when L is
+        not a multiple of 6 (the period of sign pattern and potential).
         """
-        L = self.sites
+        if L < 2:
+            raise NonPositiveSize(f"reflection needs L >= 2, got {L}")
+        if self.center is not None and L % 6 != 0:
+            raise NonPositiveSize(f"ring candidates need L divisible by 6, got {L}")
         P = PAULI[self.internal_label]
         comp = np.abs(P).argmax(axis=1)
         i = np.arange(L)
@@ -109,32 +113,20 @@ class Verdict:
         }
 
 
-def build_combined(internal: str, L: int, staggered: bool,
-                   center: int | None = None) -> SymmetryOp:
-    """The candidate internal (x) reflection, in the (a..., b...) order."""
-    return SymmetryOp(internal_label=internal, spatial_signed=staggered,
-                      sites=L, center=center)
-
-
-def default_candidates(L: int) -> list[SymmetryOp]:
+def default_candidates() -> list[SymmetryOp]:
     """The 8 open-chain candidates: 4 internal factors x (un)staggered."""
-    return [
-        build_combined(lab, L, st)
-        for lab in ("sy", "sx", "sz", "id")
-        for st in (True, False)
-    ]
+    return [SymmetryOp(lab, st) for lab in ("sy", "sx", "sz", "id") for st in (True, False)]
 
 
-def ring_candidates(L: int, internal: str = "sy") -> list[SymmetryOp]:
-    """Staggered reflections about the 6 inequivalent centers of a ring.
+def ring_candidates() -> list[SymmetryOp]:
+    """Staggered sy reflections about the 6 inequivalent centers of a ring.
 
     The sign pattern has period 2 and the potential period 3, so centers
-    repeat modulo 6; L must be a multiple of 6 for every candidate to be
-    a consistent lattice map.
+    repeat modulo 6; the ring length must be a multiple of 6 for every
+    candidate to be a consistent lattice map (checked by
+    `SymmetryOp.signed_permutation`).
     """
-    if L % 6 != 0:
-        raise NonPositiveSize(f"ring candidates need L divisible by 6, got {L}")
-    return [build_combined(internal, L, True, center=c) for c in range(6)]
+    return [SymmetryOp("sy", True, center=c) for c in range(6)]
 
 
 def _difference_norm(n: int, a: tuple, b: tuple) -> float:
@@ -148,12 +140,13 @@ def _difference_norm(n: int, a: tuple, b: tuple) -> float:
 def commutator_residual(H: Bonds, S: SymmetryOp) -> float:
     """|| HS - SH ||_F / max(||H||_F, floor); 0 means exact commutation.
 
+    S acts on L = H.dim / 2 sites; an odd H.dim raises DimMismatch.
     Bond (r, c, v) of H gives v coeff[c] at (r, sigma[c]) in HS and
     coeff[inv[r]] v at (inv[r], c) in SH, with inv the inverse of sigma.
     """
-    if H.dim != 2 * S.sites:
-        raise DimMismatch(f"size mismatch: H {H.dim}, S {2 * S.sites}")
-    sigma, coeff = S.signed_permutation()
+    if H.dim % 2:
+        raise DimMismatch(f"doubled matrix needs an even size, got {H.dim}")
+    sigma, coeff = S.signed_permutation(H.dim // 2)
     inv = np.argsort(sigma)
     r, c, v = H.rows, H.cols, H.vals
     num = _difference_norm(H.dim, (r, sigma[c], v * coeff[c]), (inv[r], c, coeff[inv[r]] * v))

@@ -160,8 +160,9 @@ def solve_beta_scalar(spec, E: complex) -> dict:
             "mid_modulus_gap": float(abs(mods[2] - mods[1]))}
 
 
-def boundary_determinant_scalar(spec, E: complex, L: int) -> complex:
-    """The normalized condition determinant at one energy: coefficients
+def boundary_determinant_scalar(spec, E: complex) -> complex:
+    """The normalized condition determinant at one energy of the open
+    chain of spec.num_sites sites: coefficients
     per root label, columns 1+, 1-, 2-, 2+, and the 24 Leibniz terms
     from a double loop over each permutation's inversions, each with its
     two beta^(L-1) factors as one exponential relative to the largest
@@ -178,7 +179,7 @@ def boundary_determinant_scalar(spec, E: complex, L: int) -> complex:
                   r * (E * b - (t - g / 2.0) * b * b) - d * b * b,
                   E * b + (t - g / 2.0) - d * r,
                   d * (E * b - 2.0 * t) / denom * b])
-        logs.append((L - 1) * np.log(b))
+        logs.append((spec.num_sites - 1) * np.log(b))
     M = np.array(M).T
     M = (M / np.maximum(np.abs(M).max(axis=1, keepdims=True), 1e-300)).tolist()
     logs = np.array(logs)
@@ -254,10 +255,9 @@ def build_reflection(L: int, staggered: bool, center: int | None = None) -> np.n
     return R
 
 
-def symmetry_matrix(S) -> np.ndarray:
+def symmetry_matrix(S, L: int) -> np.ndarray:
     """Dense 2L x 2L form kron(internal factor, build_reflection(...)) of a SymmetryOp."""
-    return np.kron(PAULI[S.internal_label],
-                   build_reflection(S.sites, S.spatial_signed, S.center))
+    return np.kron(PAULI[S.internal_label], build_reflection(L, S.spatial_signed, S.center))
 
 
 def is_reducible_dense(H: np.ndarray) -> tuple[bool, list[list[int]]]:
@@ -303,15 +303,15 @@ def negation_distance(values: np.ndarray) -> float:
 def sweep_theta_loop(spec, args, ring_sites: int, ell: int):
     """`sweep-theta`'s rows and ill-conditioned steps with one eigensolve
     and skin report per step: (rows, flagged steps)."""
-    candidates = ring_candidates(ring_sites)
+    candidates = ring_candidates()
     rows, flagged = [], []
     for s in range(args.steps):
         theta = 2.0 * np.pi * s / args.steps
         obc_spec = spec.replace(theta=theta, boundary=OBC)
-        es = eigendecompose(build_bdg(obc_spec), num_sites=obc_spec.num_sites)
+        es = eigendecompose(build_bdg(obc_spec), obc_spec.num_sites)
         if len(es.ill_conditioned):
             flagged.append(s)
-        report = skin_metrics(es, obc_spec.num_sites, args.tau_skin, ell, args.w_edge)
+        report = skin_metrics(es, args.tau_skin, ell, args.w_edge)
         H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=ring_sites))
         verdict = theorem_verdict(H_ring, candidates, args.tol)
         residual = verdict.commutator_residual

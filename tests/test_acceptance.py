@@ -21,7 +21,6 @@ from nhskin import (
     boundary_determinant,
     bonds,
     build_bdg,
-    build_combined,
     classify_states,
     commutator_residual,
     continuum_ratio,
@@ -34,7 +33,7 @@ from nhskin import (
 )
 from nhskin.cli import main
 from nhskin.nonbloch import quartic_coefficients
-from nhskin.symmetry import KIND_REDUCIBLE
+from nhskin.symmetry import KIND_REDUCIBLE, SymmetryOp
 from oracles import build_single_particle, negation_distance, pbc_spectrum, set_distance
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
@@ -51,19 +50,19 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def reference_es():
-    return eigendecompose(build_bdg(REFERENCE), num_sites=100)
+    return eigendecompose(build_bdg(REFERENCE), 100)
 
 
 def test_criterion_01_symmetry_commutation():
-    S = build_combined("sy", 100, True)
+    S = SymmetryOp("sy", True)
     r = commutator_residual(bonds(REFERENCE), S)
     report(1, "symmetry commutation", r <= 1e-12, f"residual={r:.2e}")
 
 
 def test_criterion_02_blocked_skin_effect(reference_es):
-    st = classify_states(reference_es, 100, ell=10, w_edge=0.9)
+    st = classify_states(reference_es, ell=10, w_edge=0.9)
     min_pr = st.participation_ratio[~st.is_edge].min()
-    rep = skin_metrics(reference_es, 100, tau_skin=0.25)
+    rep = skin_metrics(reference_es, tau_skin=0.25)
     ok = (min_pr >= 0.1 * 100
           and abs(rep.skew) <= 0.05
           and not rep.skin_detected)
@@ -73,7 +72,7 @@ def test_criterion_02_blocked_skin_effect(reference_es):
 
 
 def test_criterion_03_edge_modes(reference_es):
-    st = classify_states(reference_es, 100, ell=10, w_edge=0.9)
+    st = classify_states(reference_es, ell=10, w_edge=0.9)
     coms = sorted(st.center_of_mass[st.edge_weight > 0.9])
     ok = len(coms) == 2 and coms[0] < 10.0 and coms[1] > 91.0
     report(3, "two opposite edge modes", ok,
@@ -164,14 +163,14 @@ def test_criterion_08_spectral_negation():
 def test_criterion_09_boundary_determinant_oracle():
     chain = REFERENCE.replace(L=6)
     ev = np.linalg.eigvals(build_bdg(chain))
-    on_spectrum = np.abs(boundary_determinant(chain, ev, 6)).max()
+    on_spectrum = np.abs(boundary_determinant(chain, ev)).max()
     rng = np.random.default_rng(42)
     off = []
     while len(off) < 20:
         E = complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
         if np.abs(ev - E).min() >= 0.25:
             off.append(E)
-    off_vals = np.abs(boundary_determinant(chain, off, 6))
+    off_vals = np.abs(boundary_determinant(chain, off))
     ok = on_spectrum <= 1e-8 and min(off_vals) >= 1e-3
     report(9, "boundary determinant oracle", ok,
            f"on<= {on_spectrum:.2e} off>= {min(off_vals):.2e}")
@@ -181,7 +180,7 @@ def test_criterion_10_continuum_ratio_modulus():
     spec = REFERENCE.replace(L=40)
     energies = band_energies(spec, 16, offset=0.5)
     on_band = energies[solve_beta(spec, energies).continuum_case != "neither"]
-    lhs, _ = continuum_ratio(spec, on_band, 40)
+    lhs, _ = continuum_ratio(spec, on_band)
     worst = np.abs(np.abs(lhs) - 1.0).max()
     tested = len(on_band)
     ok = tested >= 20 and worst <= 1e-6
@@ -216,12 +215,12 @@ def test_criterion_11_oracle_equivalence():
 
 
 def test_criterion_12_reducibility_gate_and_control():
-    v = theorem_verdict(bonds(REFERENCE.replace(delta=0.0, L=40)), default_candidates(40))
+    v = theorem_verdict(bonds(REFERENCE.replace(delta=0.0, L=40)), default_candidates())
     gate_ok = (v.kind == KIND_REDUCIBLE
                and sorted(len(c) for c in v.components) == [40, 40])
     ctrl = ModelSpec(t=1.0, gamma=1.5, num_sites=40)
-    es = eigendecompose(build_single_particle(ctrl))
-    rep = skin_metrics(es, 40)
+    es = eigendecompose(build_single_particle(ctrl), 40)
+    rep = skin_metrics(es)
     ok = gate_ok and rep.skin_detected
     report(12, "reducibility gate + pile-up control", ok,
            f"components={[len(c) for c in v.components]} "

@@ -38,28 +38,28 @@ def off_spectrum_draws(evals, n=20, seed=42):
 
 
 def test_determinant_vanishes_on_spectrum(six_site_eigenvalues):
-    assert np.abs(boundary_determinant(COUPLINGS, six_site_eigenvalues, 6)).max() <= 1e-8
+    assert np.abs(boundary_determinant(COUPLINGS, six_site_eigenvalues)).max() <= 1e-8
 
 
 def test_determinant_large_off_spectrum(six_site_eigenvalues):
     off = off_spectrum_draws(six_site_eigenvalues)
-    assert np.abs(boundary_determinant(COUPLINGS, off, 6)).min() >= 1e-3
+    assert np.abs(boundary_determinant(COUPLINGS, off)).min() >= 1e-3
 
 
 def test_determinant_chain_length_mismatch(six_site_eigenvalues):
     E = max(six_site_eigenvalues, key=abs)
-    assert abs(boundary_determinant(COUPLINGS, E, 6)) <= 1e-8
-    assert abs(boundary_determinant(COUPLINGS, E, 7)) > 1e-10
+    assert abs(boundary_determinant(COUPLINGS, E)) <= 1e-8
+    assert abs(boundary_determinant(COUPLINGS.replace(L=7), E)) > 1e-10
 
 
 def test_determinant_invariant_under_column_permutation(six_site_eigenvalues):
     # the factored Leibniz sum against the LU determinant of the plain
     # condition matrix, which is in double range at L = 6
     E = six_site_eigenvalues[2] + 0.4
-    M, g = boundary_matrix(COUPLINGS, E, 6)
+    M, g = boundary_matrix(COUPLINGS, E)
     M, g = M[0], g[0]
     M[2:] *= np.exp(g)
-    base = boundary_determinant(COUPLINGS, E, 6)[0]
+    base = boundary_determinant(COUPLINGS, E)[0]
     rng = np.random.default_rng(1)
     for _ in range(4):
         MP = M[:, rng.permutation(4)]
@@ -73,8 +73,8 @@ def test_determinant_discriminates_past_double_range():
     chain = COUPLINGS.replace(L=400)
     evals = np.linalg.eigvals(build_bdg(chain))
     E = evals[::40]
-    assert np.abs(boundary_determinant(chain, E, 400)).max() <= 1e-8
-    assert np.abs(boundary_determinant(chain, E + 0.03 + 0.02j, 400)).min() >= 1e-3
+    assert np.abs(boundary_determinant(chain, E)).max() <= 1e-8
+    assert np.abs(boundary_determinant(chain, E + 0.03 + 0.02j)).min() >= 1e-3
 
 
 def test_pairing_row_scales_linearly_with_delta():
@@ -139,7 +139,7 @@ def test_continuum_ratio_on_band_energies():
     E = band_energies(spec, 16, offset=0.5)
     q = solve_beta(spec, E)
     on_band = q.continuum_case != CASE_NEITHER
-    lhs, rhs = continuum_ratio(spec, E[on_band], 40)
+    lhs, rhs = continuum_ratio(spec, E[on_band])
     assert np.abs(np.abs(lhs) - 1.0).max() <= 1e-6
     assert (1e-4 < np.abs(rhs)).all() and (np.abs(rhs) < 1e4).all()
     assert len(set(q.continuum_case[on_band])) == 2  # both orderings occur and both paths run
@@ -148,7 +148,7 @@ def test_continuum_ratio_on_band_energies():
 def test_continuum_ratio_hermitian_limit_pure_phase():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.4, num_sites=40)
     E = band_energies(spec, 8, offset=0.5)
-    lhs, _ = continuum_ratio(spec, E[solve_beta(spec, E).continuum_case != CASE_NEITHER], 40)
+    lhs, _ = continuum_ratio(spec, E[solve_beta(spec, E).continuum_case != CASE_NEITHER])
     assert np.abs(np.abs(lhs) - 1.0).max() <= 1e-10
 
 
@@ -162,7 +162,7 @@ def test_continuum_ratio_balances_at_open_chain_eigenvalues(gamma, delta, L):
     # does not apply; at L = 20, gamma 1.2 they sit at |E| ~ 3e-7.
     chain = ModelSpec(t=1.0, gamma=gamma, delta=delta, num_sites=L)
     evals = np.linalg.eigvals(build_bdg(chain))
-    lhs, rhs = continuum_ratio(chain, evals[np.argsort(np.abs(evals))[2:]], L)
+    lhs, rhs = continuum_ratio(chain, evals[np.argsort(np.abs(evals))[2:]])
     assert np.abs(np.log(np.abs(lhs) / np.abs(rhs))).max() <= 1e-9
 
 
@@ -175,20 +175,30 @@ def test_determinant_vanishes_at_open_chain_eigenvalues(t, gamma, delta, L):
            >= 0.05 * max(delta ** 2, t ** 2, gamma ** 2 / 4.0))
     chain = ModelSpec(t=t, gamma=gamma, delta=delta, num_sites=L)
     evals = np.linalg.eigvals(build_bdg(chain))
-    assert np.abs(boundary_determinant(chain, evals, L)).max() <= 1e-8
+    assert np.abs(boundary_determinant(chain, evals)).max() <= 1e-8
 
 
-# The nearly one-way chain (gamma 1.99) has its own rounding floor of
-# ~1e-9: there both forms sit 5e-10 to 1e-9 from a 60-digit Leibniz sum.
-@pytest.mark.parametrize("spec, L, tol", [
-    (COUPLINGS, 6, 1e-10), (COUPLINGS, 100, 1e-10), (COUPLINGS, 400, 1e-10),
-    (ModelSpec(t=1.0, gamma=1.2, delta=0.3, num_sites=20), 20, 1e-10),
-    (ModelSpec(t=1.0, gamma=1.99, delta=0.1, num_sites=10), 10, 1e-8),
+ONE_WAY = ModelSpec(t=1.0, gamma=1.99, delta=0.1, num_sites=10)
+
+
+# On the nearly one-way chain (gamma 1.99) the scalar oracle's root
+# formula cancels: it reads up to 6.7e-10 at the L = 10 eigenvalues,
+# where the batched determinant reads 1e-13.  That sets the looser tol.
+@pytest.mark.parametrize("chain, tol", [
+    (COUPLINGS, 1e-10), (COUPLINGS.replace(L=100), 1e-10), (COUPLINGS.replace(L=400), 1e-10),
+    (ModelSpec(t=1.0, gamma=1.2, delta=0.3, num_sites=20), 1e-10), (ONE_WAY, 1e-8),
 ], ids=["readme-6", "readme-100", "readme-400", "gamma1.2-20", "gamma1.99-10"])
-def test_norm_det_matches_per_energy_reference(spec, L, tol):
-    chain = spec.replace(L=L)
-    evals = np.linalg.eigvals(build_bdg(chain))[:: max(1, L // 10)]
+def test_norm_det_matches_per_energy_reference(chain, tol):
+    evals = np.linalg.eigvals(build_bdg(chain))[:: max(1, chain.num_sites // 10)]
     E = np.concatenate([evals, evals + 0.03 + 0.02j])
-    got = np.abs(boundary_determinant(chain, E, L))
-    want = np.abs([boundary_determinant_scalar(chain, e, L) for e in E])
+    got = np.abs(boundary_determinant(chain, E))
+    want = np.abs([boundary_determinant_scalar(chain, e) for e in E])
     assert np.abs(got - want).max() <= tol
+
+
+@pytest.mark.parametrize("L", [10, 100])
+def test_one_way_chain_norm_det_floor(L):
+    # worst on-spectrum value: 1.0e-13 at L = 10, 3.4e-12 at L = 100
+    chain = ONE_WAY.replace(L=L)
+    evals = np.linalg.eigvals(build_bdg(chain))
+    assert np.abs(boundary_determinant(chain, evals)).max() <= 1e-10

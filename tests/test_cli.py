@@ -193,6 +193,22 @@ def test_symmetry_command_hermitian_chain(config_path, tmp_path):
                        "components": None}
 
 
+@pytest.mark.parametrize("gamma, delta", [(1.5, 0.5), (1.2, 0.3), (1.7, 0.65)])
+def test_symmetry_on_a_ring_tests_the_ring_centers(config_path, tmp_path, gamma, delta):
+    # at every theta = k pi/3 one ring center commutes; symmetry on a ring
+    # whose length is a multiple of 6 agrees with sweep-theta's ring
+    cfg = config_path(gamma=gamma, delta=delta, V=2.0, L=12)
+    assert main(["sweep-theta", "--config", cfg, "--steps", "6",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    _, rows = read_csv(str(tmp_path / "sweep" / "sweep.csv"))
+    for L in (12, 48):
+        for step, theta, _, kind, *_ in rows:
+            out = tmp_path / f"ring{L}-{step}"
+            assert main(["symmetry", "--config", cfg, "--boundary", "pbc", "--L", str(L),
+                         "--theta", theta, "--out", str(out)]) == 0
+            assert json.loads((out / "verdict.json").read_text())["kind"] == kind
+
+
 def test_gbz_command(config_path, tmp_path):
     out = str(tmp_path / "out")
     rc = main(["gbz", "--config", config_path(), "--out", out,

@@ -14,7 +14,7 @@ from nhskin import (
     skin_metrics,
     theorem_verdict,
 )
-from nhskin.errors import ZeroVector
+from nhskin.errors import DimMismatch, ZeroVector
 from nhskin.spectra import CLUSTER_TOL, EP_OVERLAP_TOL, KAPPA_EPS_BOUND
 from oracles import (build_single_particle, density_profile_loop, negation_distance,
                      pbc_spectrum, set_distance)
@@ -24,12 +24,12 @@ REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
 @pytest.fixture(scope="module")
 def reference_es():
-    return eigendecompose(build_bdg(REFERENCE), num_sites=100)
+    return eigendecompose(build_bdg(REFERENCE), 100)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_defective_jordan_block_is_reported():
-    es = eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    es = eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 2)
     assert es.defective == [0, 1]
     assert np.allclose(es.values, 0.0)
     # the right vectors are the solver's, both along the one eigenvector
@@ -42,7 +42,7 @@ def test_exceptional_point_split_by_rounding_is_defective():
     # far outside CLUSTER_TOL, but the pair's right vectors stay parallel
     spec = ModelSpec(gamma=1.3942996588998975, delta=0.36033966956980074, big_v=2.0,
                      theta=np.pi / 6, num_sites=39)
-    es = eigendecompose(build_bdg(spec), num_sites=39)
+    es = eigendecompose(build_bdg(spec), 39)
     assert len(es.defective) == 4
     for a, b in zip(es.defective[::2], es.defective[1::2]):
         assert CLUSTER_TOL < abs(es.values[a] - es.values[b]) < 1e-6
@@ -53,9 +53,9 @@ def test_exceptional_point_split_by_rounding_is_defective():
 
 @pytest.mark.parametrize("spec", [REFERENCE, REFERENCE.replace(V=2.0, theta=np.pi / 3, L=97)])
 def test_blocked_chain_is_well_conditioned(spec):
-    verdict = theorem_verdict(bonds(spec), default_candidates(spec.num_sites))
+    verdict = theorem_verdict(bonds(spec), default_candidates())
     assert verdict.kind == "nhse_blocked"
-    es = eigendecompose(build_bdg(spec), num_sites=spec.num_sites)
+    es = eigendecompose(build_bdg(spec), spec.num_sites)
     assert es.condition.max() <= 10.0
     assert len(es.ill_conditioned) == 0
     assert es.biorthogonality_defect <= 1e-12
@@ -63,7 +63,7 @@ def test_blocked_chain_is_well_conditioned(spec):
 
 def test_broken_long_chain_is_flagged():
     spec = REFERENCE.replace(V=2.0, theta=0.3, L=192)
-    es = eigendecompose(build_bdg(spec), num_sites=192)
+    es = eigendecompose(build_bdg(spec), 192)
     assert es.defective == []
     assert len(es.ill_conditioned) > 0
     assert es.condition.max() * np.finfo(float).eps > KAPPA_EPS_BOUND
@@ -87,7 +87,7 @@ def _error_against_mpmath(H, values):
 
 def test_condition_flag_covers_every_eigenvalue_off_the_mpmath_reference():
     H = build_bdg(MP_BROKEN)
-    es = eigendecompose(H, num_sites=16)
+    es = eigendecompose(H, 16)
     off = np.nonzero(_error_against_mpmath(H, es.values) > KAPPA_EPS_BOUND)[0]
     assert len(off) > 0
     assert set(off.tolist()) <= set(es.ill_conditioned.tolist())
@@ -95,15 +95,24 @@ def test_condition_flag_covers_every_eigenvalue_off_the_mpmath_reference():
 
 def test_condition_flag_is_silent_on_the_blocked_mpmath_chain():
     H = build_bdg(MP_BLOCKED)
-    assert theorem_verdict(bonds(MP_BLOCKED), default_candidates(10)).kind == "nhse_blocked"
-    es = eigendecompose(H, num_sites=10)
+    assert theorem_verdict(bonds(MP_BLOCKED), default_candidates()).kind == "nhse_blocked"
+    es = eigendecompose(H, 10)
     assert len(es.ill_conditioned) == 0
     assert _error_against_mpmath(H, es.values).max() <= KAPPA_EPS_BOUND
 
 
+def test_eigendecompose_rejects_a_length_that_does_not_fit():
+    H = build_bdg(REFERENCE.replace(V=2.0, theta=0.3, L=48))
+    with pytest.raises(DimMismatch):
+        eigendecompose(H, 47)
+    es = eigendecompose(H, 48)
+    assert es.num_sites == 48
+    assert skin_metrics(es).accumulation > 0.7
+
+
 def test_hermitian_limit_real_spectrum_conjugate_left():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.5, num_sites=12)
-    es = eigendecompose(build_bdg(spec), num_sites=12)
+    es = eigendecompose(build_bdg(spec), 12)
     assert np.abs(es.values.imag).max() <= 1e-10
     # for a Hermitian matrix the left row vectors are the conjugated rights
     assert np.abs(es.left - es.right.conj().T).max() <= 1e-8
@@ -164,7 +173,6 @@ def test_density_profile_folds_doubled_vector():
 def test_density_profile_zero_vector():
     with pytest.raises(ZeroVector):
         density_profile(np.zeros(10), 10)
-    from nhskin.errors import DimMismatch
     with pytest.raises(DimMismatch):
         density_profile(np.ones(7), 10)
 
@@ -185,8 +193,8 @@ def test_density_profile_rejects_one_zero_column():
 def test_classification_matches_per_state_loop(spec, doubled):
     L = spec.num_sites
     H = build_bdg(spec) if doubled else build_single_particle(spec)
-    es = eigendecompose(H, num_sites=L if doubled else None)
-    st = classify_states(es, L, ell=10, w_edge=0.9)
+    es = eigendecompose(H, L)
+    st = classify_states(es, ell=10, w_edge=0.9)
     rows = [density_profile_loop(es.right[:, i], L) for i in range(es.dim)]
     density = np.array([r[0] for r in rows])
     edge = np.array([rho[:10].sum() + rho[L - 10:].sum() for rho in density])
@@ -199,7 +207,7 @@ def test_classification_matches_per_state_loop(spec, doubled):
 
 
 def test_classification_reference_chain(reference_es):
-    st = classify_states(reference_es, 100, ell=10, w_edge=0.9)
+    st = classify_states(reference_es, ell=10, w_edge=0.9)
     assert st.is_edge.sum() == 2
     coms = sorted(st.center_of_mass[st.is_edge])
     assert coms[0] < 10.0 and coms[1] > 91.0
@@ -208,8 +216,8 @@ def test_classification_reference_chain(reference_es):
 
 def test_classification_trivial_chain_has_no_edge_states():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.0, num_sites=30)
-    es = eigendecompose(build_single_particle(spec))
-    st = classify_states(es, 30)
+    es = eigendecompose(build_single_particle(spec), 30)
+    st = classify_states(es)
     assert not st.is_edge.any()
 
 
@@ -217,14 +225,14 @@ def test_classification_asymmetric_chain_piles_up():
     # all open-chain states of the asymmetric single-particle chain are
     # squeezed into the first few sites
     spec = ModelSpec(t=1.0, gamma=1.5, num_sites=40)
-    es = eigendecompose(build_single_particle(spec))
-    st = classify_states(es, 40, ell=10, w_edge=0.9)
+    es = eigendecompose(build_single_particle(spec), 40)
+    st = classify_states(es, ell=10, w_edge=0.9)
     assert st.is_edge.sum() > 35
     assert (st.center_of_mass[st.is_edge] < 20.0).all()
 
 
 def test_skin_metrics_reference_chain(reference_es):
-    rep = skin_metrics(reference_es, 100)
+    rep = skin_metrics(reference_es)
     assert not rep.skin_detected
     assert abs(rep.skew) <= 0.05
     assert rep.accumulation <= 0.05
@@ -232,15 +240,15 @@ def test_skin_metrics_reference_chain(reference_es):
 
 def test_skin_metrics_symmetric_potential():
     spec = REFERENCE.replace(V=2.0, theta=0.0)
-    es = eigendecompose(build_bdg(spec), num_sites=100)
-    rep = skin_metrics(es, 100)
+    es = eigendecompose(build_bdg(spec), 100)
+    rep = skin_metrics(es)
     assert not rep.skin_detected
 
 
 def test_skin_metrics_broken_potential_bipolar():
     spec = REFERENCE.replace(V=2.0, theta=np.pi / 4)
-    es = eigendecompose(build_bdg(spec), num_sites=100)
-    rep = skin_metrics(es, 100)
+    es = eigendecompose(build_bdg(spec), 100)
+    rep = skin_metrics(es)
     assert rep.skin_detected
     assert rep.accumulation > 0.5
     # the two internal components pile on opposite ends, so the signed
@@ -250,8 +258,8 @@ def test_skin_metrics_broken_potential_bipolar():
 
 def test_skin_metrics_asymmetric_single_particle():
     spec = ModelSpec(t=1.0, gamma=1.5, num_sites=40)
-    es = eigendecompose(build_single_particle(spec))
-    rep = skin_metrics(es, 40)
+    es = eigendecompose(build_single_particle(spec), 40)
+    rep = skin_metrics(es)
     assert rep.skin_detected
     assert rep.skew < -0.9  # one-sided pile-up keeps the sign
 
@@ -265,9 +273,10 @@ def test_skin_metrics_invariant_under_state_reordering(reference_es):
         right=reference_es.right[:, perm],
         left=reference_es.left[perm, :],
         condition=reference_es.condition[perm],
+        num_sites=100,
     )
-    a = skin_metrics(reference_es, 100)
-    b = skin_metrics(shuffled, 100)
+    a = skin_metrics(reference_es)
+    b = skin_metrics(shuffled)
     assert abs(a.skew - b.skew) <= 1e-12
     assert abs(a.accumulation - b.accumulation) <= 1e-12
     assert a.skin_detected == b.skin_detected

@@ -9,7 +9,6 @@ from nhskin import (
     OBC,
     PBC,
     bonds,
-    build_combined,
     commutator_residual,
     default_candidates,
     is_reducible,
@@ -24,6 +23,7 @@ from nhskin.symmetry import (
     KIND_HERMITIAN,
     KIND_NO_CANDIDATES,
     KIND_REDUCIBLE,
+    SymmetryOp,
 )
 from oracles import (bonds_of, build_bdg_loop, build_reflection, is_reducible_dense,
                      symmetry_matrix)
@@ -55,7 +55,7 @@ def test_reflection_rejects_short_chain():
 
 
 def test_combined_two_site_blocks():
-    S = symmetry_matrix(build_combined("sy", 2, True))
+    S = symmetry_matrix(SymmetryOp("sy", True), 2)
     R = build_reflection(2, True)
     assert np.abs(S[:2, 2:] + 1j * R).max() == 0.0
     assert np.abs(S[2:, :2] - 1j * R).max() == 0.0
@@ -63,20 +63,20 @@ def test_combined_two_site_blocks():
 
 
 def test_combined_identity_is_doubled_reflection():
-    S = symmetry_matrix(build_combined("id", 2, False))
+    S = symmetry_matrix(SymmetryOp("id", False), 2)
     R = build_reflection(2, False)
     assert np.array_equal(S, np.kron(np.eye(2), R))
 
 
 def test_combined_is_unitary_at_scale():
-    S = symmetry_matrix(build_combined("sy", 100, True))
+    S = symmetry_matrix(SymmetryOp("sy", True), 100)
     assert np.abs(S @ S.conj().T - np.eye(200)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("L", [4, 5, 12, 13])
 @pytest.mark.parametrize("staggered", [True, False])
 def test_combined_squares_to_signed_identity(L, staggered):
-    S = symmetry_matrix(build_combined("sy", L, staggered))
+    S = symmetry_matrix(SymmetryOp("sy", staggered), L)
     S2 = S @ S
     sign = S2[0, 0]
     assert abs(abs(sign) - 1.0) <= 1e-14
@@ -84,24 +84,24 @@ def test_combined_squares_to_signed_identity(L, staggered):
 
 
 def test_commutator_reference_chain_blocked():
-    S = build_combined("sy", 100, True)
+    S = SymmetryOp("sy", True)
     assert commutator_residual(bonds(REFERENCE), S) <= 1e-14
 
 
 def test_commutator_zero_matrix():
-    S = build_combined("sy", 4, True)
+    S = SymmetryOp("sy", True)
     assert commutator_residual(bonds_of(np.zeros((8, 8))), S) == 0.0
 
 
 def test_commutator_broken_by_quarter_phase_potential():
     H = bonds(REFERENCE.replace(V=2.0, theta=np.pi / 4))
-    S = build_combined("sy", 100, True)
+    S = SymmetryOp("sy", True)
     assert commutator_residual(H, S) > 0.01
 
 
 def test_commutator_scale_invariance():
     H = bonds(REFERENCE.replace(V=2.0, theta=0.7, L=30))
-    S = build_combined("sy", 30, True)
+    S = SymmetryOp("sy", True)
     r1 = commutator_residual(H, S)
     r2 = commutator_residual(H._replace(vals=3.7 * H.vals), S)
     assert abs(r1 - r2) <= 1e-12 * max(r1, 1.0)
@@ -109,7 +109,7 @@ def test_commutator_scale_invariance():
 
 def test_commutator_dim_mismatch():
     with pytest.raises(DimMismatch):
-        commutator_residual(bonds_of(np.eye(6)), build_combined("sy", 4, True))
+        commutator_residual(bonds_of(np.eye(5)), SymmetryOp("sy", True))
 
 
 def test_reducibility_with_pairing_is_irreducible():
@@ -161,27 +161,28 @@ def test_reducibility_matches_dense_reference_on_random_graphs(n, seed, density)
 
 def test_reflection_structure_accepts_mirror_candidates():
     # every candidate's site map is the open-chain mirror, or its ring mirror
-    for S in default_candidates(10) + ring_candidates(12):
-        sigma, _ = S.signed_permutation()
-        i = np.arange(S.sites)
-        mirror = S.sites - 1 - i if S.center is None else (S.center - i) % S.sites
-        assert np.array_equal(sigma[:S.sites] % S.sites, mirror)
-        assert np.array_equal(sigma[S.sites:] % S.sites, mirror)
+    L = 12
+    for S in default_candidates() + ring_candidates():
+        sigma, _ = S.signed_permutation(L)
+        i = np.arange(L)
+        mirror = L - 1 - i if S.center is None else (S.center - i) % L
+        assert np.array_equal(sigma[:L] % L, mirror)
+        assert np.array_equal(sigma[L:] % L, mirror)
 
 
 def test_combined_rejects_unknown_internal_factor():
     with pytest.raises(MalformedOperator):
-        build_combined("sw", 6, True)
+        SymmetryOp("sw", True)
 
 
 @pytest.mark.parametrize("L", [7, 12])
 def test_signed_permutation_matches_dense_matrix(L):
-    for S in default_candidates(L) + (ring_candidates(L) if L % 6 == 0 else []):
-        sigma, coeff = S.signed_permutation()
+    for S in default_candidates() + (ring_candidates() if L % 6 == 0 else []):
+        sigma, coeff = S.signed_permutation(L)
         assert np.array_equal(np.sort(sigma), np.arange(2 * L))
         dense = np.zeros((2 * L, 2 * L), dtype=complex)
         dense[np.arange(2 * L), sigma] = coeff
-        assert np.array_equal(symmetry_matrix(S), dense)
+        assert np.array_equal(symmetry_matrix(S, L), dense)
         assert set(coeff.tolist()) <= {1, -1, 1j, -1j}
 
 
@@ -197,7 +198,7 @@ def _assert_matches_dense(spec, cands):
     # agree to 1e-14 relative, and an exact zero on one side is exact on both
     H = build_bdg_loop(spec)
     for S in cands:
-        M = symmetry_matrix(S)
+        M = symmetry_matrix(S, spec.num_sites)
         dense = np.linalg.norm(H @ M - M @ H) / np.linalg.norm(H)
         r = commutator_residual(bonds(spec), S)
         assert (r == 0.0) == (dense == 0.0), (S, spec)
@@ -206,9 +207,9 @@ def _assert_matches_dense(spec, cands):
 
 @pytest.mark.parametrize("L,boundary", [(7, "obc"), (12, "obc"), (12, PBC), (18, PBC)])
 def test_commutator_matches_dense_reference_bit_for_bit(L, boundary):
-    cands = default_candidates(L)
+    cands = default_candidates()
     if boundary == PBC:
-        cands += ring_candidates(L)
+        cands += ring_candidates()
     for spec in _points(L, boundary):
         _assert_matches_dense(spec, cands)
 
@@ -222,12 +223,12 @@ def test_commutator_matches_dense_reference_everywhere(L, ring, gamma, delta, V,
         L = 6 * (L // 6 + 1)
     spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, big_v=V, theta=theta, num_sites=L,
                      boundary=PBC if ring else OBC)
-    _assert_matches_dense(spec, default_candidates(L) + (ring_candidates(L) if ring else []))
+    _assert_matches_dense(spec, default_candidates() + (ring_candidates() if ring else []))
 
 
 def test_verdict_reference_chain():
     H = bonds(REFERENCE)
-    v = theorem_verdict(H, default_candidates(100))
+    v = theorem_verdict(H, default_candidates())
     assert v.kind == KIND_BLOCKED
     assert v.candidate.internal_label == "sy" and v.candidate.spatial_signed
     assert v.commutator_residual <= 1e-12
@@ -236,20 +237,20 @@ def test_verdict_reference_chain():
 def test_verdict_third_pi_potential_still_blocked():
     # theta = pi/3 keeps the mirror antisymmetry of the potential at L = 100
     H = bonds(REFERENCE.replace(V=2.0, theta=np.pi / 3))
-    v = theorem_verdict(H, default_candidates(100))
+    v = theorem_verdict(H, default_candidates())
     assert v.kind == KIND_BLOCKED
 
 
 def test_verdict_quarter_pi_potential_expected():
     H = bonds(REFERENCE.replace(V=2.0, theta=np.pi / 4))
-    v = theorem_verdict(H, default_candidates(100))
+    v = theorem_verdict(H, default_candidates())
     assert v.kind == KIND_EXPECTED
     assert v.commutator_residual > 1e-3
 
 
 def test_verdict_gates_on_reducibility():
     H = bonds(REFERENCE.replace(delta=0.0, L=30))
-    v = theorem_verdict(H, default_candidates(30))
+    v = theorem_verdict(H, default_candidates())
     assert v.kind == KIND_REDUCIBLE
     assert sorted(len(c) for c in v.components) == [30, 30]
 
@@ -266,7 +267,7 @@ def test_verdict_requires_positive_tol():
 
 def test_verdict_deterministic_and_order_respecting():
     H = bonds(REFERENCE.replace(L=12))
-    cands = default_candidates(12)
+    cands = default_candidates()
     v1 = theorem_verdict(H, cands)
     v2 = theorem_verdict(H, cands)
     assert v1.to_dict() == v2.to_dict()
@@ -276,7 +277,7 @@ def test_ring_candidates_cover_all_third_pi_phases():
     # on a ring whose length is a multiple of 6, each theta = k pi/3 is
     # matched by a staggered reflection about one of the six centers
     L = 24
-    cands = ring_candidates(L)
+    cands = ring_candidates()
     for k in range(6):
         theta = k * np.pi / 3.0
         spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, big_v=2.0,
@@ -291,14 +292,21 @@ def test_ring_candidates_cover_all_third_pi_phases():
 
 
 def test_ring_candidates_need_multiple_of_six():
+    ring = bonds(ModelSpec(t=1.0, gamma=1.5, delta=0.5, big_v=2.0, num_sites=9, boundary=PBC))
+    assert commutator_residual(ring, default_candidates()[0]) >= 0.0
     with pytest.raises(NonPositiveSize):
-        ring_candidates(9)
+        commutator_residual(ring, ring_candidates()[0])
+
+
+def test_candidate_rejects_short_chain():
+    with pytest.raises(NonPositiveSize):
+        SymmetryOp("sy", True).signed_permutation(1)
 
 
 def test_verdict_never_blocked_for_reducible():
     # premise gate fires before any candidate is consulted
     H = bonds(REFERENCE.replace(delta=0.0, L=24))
-    v = theorem_verdict(H, default_candidates(24))
+    v = theorem_verdict(H, default_candidates())
     assert v.kind == KIND_REDUCIBLE
 
 
@@ -311,7 +319,7 @@ def test_verdict_invariant_under_ring_translation(L, gamma, delta, theta):
     # permutes the six reflection centers, so the verdict cannot change
     spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, big_v=2.0, theta=theta,
                      num_sites=L, boundary=PBC)
-    cands = ring_candidates(L)
+    cands = ring_candidates()
     v1 = theorem_verdict(bonds(spec), cands)
     v2 = theorem_verdict(bonds(spec.replace(theta=theta + 2.0 * np.pi / 3.0)), cands)
     assert v1.kind == v2.kind
@@ -332,12 +340,12 @@ def test_ring_verdict_independent_of_ring_length(m, t, gamma, delta, V, theta):
     spec = ModelSpec(t=t, gamma=gamma, delta=delta, big_v=V, theta=theta,
                      num_sites=RING_SITES, boundary=PBC)
     H1, H2 = bonds(spec), bonds(spec.replace(L=6 * m))
-    cands1, cands2 = ring_candidates(RING_SITES), ring_candidates(6 * m)
-    assert theorem_verdict(H1, cands1).kind == theorem_verdict(H2, cands2).kind
-    for c1, c2 in zip(cands1, cands2):
+    cands = ring_candidates()
+    assert theorem_verdict(H1, cands).kind == theorem_verdict(H2, cands).kind
+    for c in cands:
         # each residual carries ~1e-16 absolute rounding: at theta ~ 1e-10
         # it is ~1e-10 and the two rings differ by ~1e-6 of it
-        assert math.isclose(commutator_residual(H1, c1), commutator_residual(H2, c2),
+        assert math.isclose(commutator_residual(H1, c), commutator_residual(H2, c),
                             rel_tol=1e-12, abs_tol=1e-13)
 
 
@@ -347,7 +355,7 @@ def test_hermitian_chain_is_gated_before_any_candidate(theta, boundary, L):
     # gamma = 0 makes H real symmetric: no skin effect, whatever theta does
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.5, big_v=2.0, theta=theta, num_sites=L,
                      boundary=boundary)
-    cands = default_candidates(L) + (ring_candidates(L) if boundary == PBC else [])
+    cands = default_candidates() + (ring_candidates() if boundary == PBC else [])
     v = theorem_verdict(bonds(spec), cands)
     assert v.kind == KIND_HERMITIAN
     assert v.to_dict() == {"kind": KIND_HERMITIAN, "residual": None, "candidate": None,
@@ -357,12 +365,12 @@ def test_hermitian_chain_is_gated_before_any_candidate(theta, boundary, L):
 def test_hermitian_gate_outranks_reducibility():
     # gamma = delta = 0: real symmetric and reducible; Hermitian comes first
     v = theorem_verdict(bonds(REFERENCE.replace(gamma=0.0, delta=0.0, L=10)),
-                        default_candidates(10))
+                        default_candidates())
     assert v.kind == KIND_HERMITIAN
 
 
 def test_hermitian_gate_uses_the_tolerance():
     # ||H - H^T|| / ||H|| is about gamma = 1e-9: Hermitian only at a looser tol
     H = bonds(REFERENCE.replace(gamma=1e-9, L=10))
-    assert theorem_verdict(H, default_candidates(10)).kind != KIND_HERMITIAN
-    assert theorem_verdict(H, default_candidates(10), tol=1e-6).kind == KIND_HERMITIAN
+    assert theorem_verdict(H, default_candidates()).kind != KIND_HERMITIAN
+    assert theorem_verdict(H, default_candidates(), tol=1e-6).kind == KIND_HERMITIAN
