@@ -29,7 +29,6 @@ from .spectra import (
 )
 from .nonbloch import (
     BetaQuartet,
-    ZakResult,
     band_energies,
     bloch_matrix,
     char_poly_residual,
@@ -54,7 +53,7 @@ __all__ = [
     "ring_candidates", "theorem_verdict",
     "EigenSystem", "SkinReport", "StateTable", "classify_states",
     "density_profile", "eigendecompose", "skin_metrics",
-    "BetaQuartet", "ZakResult", "band_energies", "bloch_matrix",
+    "BetaQuartet", "band_energies", "bloch_matrix",
     "char_poly_residual", "continuum_condition", "gbz_modulus_report",
     "solve_beta", "zak_phase",
     "boundary_coeffs", "boundary_determinant",

@@ -19,7 +19,9 @@ with G = diag((-1)^n) on both Nambu halves and M = G tau_z tau_x (P + P)
 (P the site reversal), are exact signed-permutation similarities, so
 every member of an orbit takes its representative's accumulation,
 skin_detected and conditioning, and its skew times the orbit sign (-1
-where the mirror M maps it).  gbz, zak and boundary refuse the line
+where the mirror M maps it).  zak writes the closed-form phase of
+`nonbloch.zak_phase`, the same for both bands; its --grid is range
+checked but sets nothing.  gbz, zak and boundary refuse the line
 delta^2 - t^2 + gamma^2/4 = 0 with the one message of `solve_beta`.
 Sizes are capped before any work starts (MAX_SITES for L and --L-check,
 MAX_GRID, MAX_STEPS, MAX_ENERGIES).
@@ -146,9 +148,11 @@ def _scatter(rows, x: int, *panels):
 
 
 def _ill_conditioned(which: str, kappa: float) -> str:
-    """Warning text for eigenvalues past KAPPA_EPS_BOUND, largest kappa given."""
+    """Warning text for eigenvalues past KAPPA_EPS_BOUND, largest kappa given
+    to one digit: past the bound, the inverse that pairs the left vectors
+    leaves kappa an order-of-magnitude estimate."""
     return (f"{which} ill-conditioned (kappa*eps > {KAPPA_EPS_BOUND:g}, max kappa "
-            f"{kappa:.3g}); they hold only to about kappa*eps*|H|_F")
+            f"{kappa:.0e}); they hold only to about kappa*eps*|H|_F")
 
 
 def _classified(spec: ModelSpec, args):
@@ -248,9 +252,7 @@ def cmd_gbz(spec: ModelSpec, args) -> Output:
 
 
 def cmd_zak(spec: ModelSpec, args) -> Output:
-    res = zak_phase(spec, band=args.band, grid=args.grid)
-    return Output("zak.json", payload={"band": res.band, "phase": res.phase,
-                                       "grid": res.grid_points, "residual": res.residual})
+    return Output("zak.json", payload={"band": args.band, "phase": zak_phase(spec)})
 
 
 def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
@@ -336,7 +338,8 @@ COMMANDS = (
      SVG + (("--num-energies", {"type": _int_in(1, MAX_ENERGIES), "default": 50}),)),
     ("zak", cmd_zak, "band geometric phase around the unit circle",
      (("--band", {"choices": ["plus", "minus"], "default": "plus"}),
-      ("--grid", {"type": _int_in(64, MAX_GRID), "default": 4096}))),
+      ("--grid", {"type": _int_in(64, MAX_GRID), "default": 4096,
+                  "help": "has no effect: the phase has a closed form"}))),
     ("sweep-theta", cmd_sweep_theta, "potential-phase sweep: symmetry vs skin",
      SVG + THRESHOLDS + TOL + (("--tau-skin", {"type": float, "default": DEFAULT_TAU_SKIN}),
                                ("--steps", {"type": _int_in(6, MAX_STEPS), "default": 24}))),

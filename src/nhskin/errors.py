@@ -80,11 +80,7 @@ class DegenerateLeadingCoeff(NumericalError):
 
 
 class BandTouching(NumericalError):
-    """Band gap along the loop fell below threshold."""
-
-
-class GbzNotCircle(NumericalError):
-    """Unit-circle precondition for the loop integral failed."""
+    """Band gap on the unit circle closes (at or below threshold)."""
 
 
 # --- boundary analysis --------------------------------------------------

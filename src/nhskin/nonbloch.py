@@ -17,18 +17,12 @@ of beta^2 - x beta - 1 = 0 whose product is exactly -1, so the four
 moduli come in reciprocal pairs.  A continuum band requires the two
 middle moduli to coincide, which combined with the pair products forces
 them onto the unit circle: open-chain bulk states of this chain stay
-extended.  The loop integral of the band eigenvectors around that circle
-(a discretized Wilson loop over biorthogonal pairs) gives the band's
-geometric phase; +-pi signals the phase with protected end modes.
-`bloch_matrix` takes an array of beta and `solve_beta` an array of
-energies, returning an (n, 4) root array; on the line
-delta^2 - t^2 + gamma^2/4 = 0, where the quartic keeps two roots only,
-`solve_beta` refuses.  The Wilson loop takes one stacked `eig` per block
-of BLOCK grid points, so its eigensolver stacks stay bounded.  On the
-unit circle the two eigenvalues differ by a real number, so each band is
-the member of larger (or smaller) real part at every point; each right
-vector is paired with a row of the closed-form 2x2 inverse of the
-right-vector matrix, as `spectra.eigendecompose` does.
+extended.  `zak_phase` gives the band's geometric phase around that
+circle from its closed form: pi (the phase with protected end modes)
+while the gap is open, 0 at delta = 0.  `bloch_matrix` takes an array
+of beta and `solve_beta` an array of energies, returning an (n, 4) root
+array; on the line delta^2 - t^2 + gamma^2/4 = 0, where the quartic
+keeps two roots only, `solve_beta` and `zak_phase` refuse.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ from .errors import (
     BandTouching,
     ConfigError,
     DegenerateLeadingCoeff,
-    GbzNotCircle,
     UnsupportedPotential,
     ZeroBeta,
 )
@@ -54,9 +47,6 @@ CASE_PLUS_MIDDLE = "case2"   # |b_1-| <= |b_1+| = |b_2+| <= |b_2-|
 CASE_NEITHER = "neither"
 
 MID_EQUAL_RTOL = 1e-6
-
-# Grid points per Wilson-loop block in zak_phase; bounds its eig stacks.
-BLOCK = 1024
 
 
 @dataclass
@@ -82,6 +72,16 @@ class BetaQuartet:
 
 def _leading_coeff(spec: ModelSpec) -> float:
     return spec.delta ** 2 - spec.t ** 2 + spec.gamma ** 2 / 4.0
+
+
+def _require_four_roots(spec: ModelSpec) -> float:
+    """The leading coefficient, refused on the line where it vanishes
+    (relative to the couplings) and the quartic keeps two roots only."""
+    a = _leading_coeff(spec)
+    if abs(a) <= 1e-14 * max(spec.delta ** 2, spec.t ** 2, spec.gamma ** 2 / 4.0, 1e-300):
+        raise DegenerateLeadingCoeff(
+            "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, not four")
+    return a
 
 
 def bloch_matrix(spec: ModelSpec, beta) -> np.ndarray:
@@ -154,10 +154,7 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
     four, so it raises DegenerateLeadingCoeff.
     """
     validate_spec(spec)
-    a = _leading_coeff(spec)
-    if abs(a) <= 1e-14 * max(spec.delta ** 2, spec.t ** 2, spec.gamma ** 2 / 4.0, 1e-300):
-        raise DegenerateLeadingCoeff(
-            "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, not four")
+    a = _require_four_roots(spec)
     E = np.asarray(E, dtype=complex).ravel()
     Eg, c = E * spec.gamma, E * E - 4.0 * spec.t ** 2
     sq = np.sqrt(Eg ** 2 - 4.0 * a * c)
@@ -210,100 +207,28 @@ def gbz_modulus_report(spec: ModelSpec, energies) -> BetaQuartet:
     return solve_beta(spec, energies)
 
 
-@dataclass
-class ZakResult:
-    band: str
-    phase: float
-    grid_points: int
-    residual: float
+def zak_phase(spec: ModelSpec) -> float:
+    """Geometric phase of either band transported once around the unit circle.
 
-
-def wilson_loop_phase(lefts, rights) -> float:
-    """Phase of the discretized loop product of left/right overlaps.
-
-    `lefts[k]` and `rights[k]` are the 2-vectors at grid point k.  Each
-    (left, right) pair must satisfy left . right = 1; the product
-    telescopes, so an extra nonzero scalar per grid point cancels.
-    Result is mapped to (-pi, pi].
-    """
-    lefts = np.asarray(lefts, dtype=complex)
-    rights = np.roll(np.asarray(rights, dtype=complex), -1, axis=0)
-    phase = -np.imag(np.log(np.einsum("ki,ki->k", lefts, rights)).sum())
-    phase = (phase + np.pi) % (2.0 * np.pi) - np.pi
-    if phase <= -np.pi:
-        phase += 2.0 * np.pi
-    return float(phase)
-
-
-def _check_unit_circle(spec: ModelSpec) -> None:
-    E = band_energies(spec, 16)
-    off = ~(solve_beta(spec, E).mid_deviation <= MID_EQUAL_RTOL)  # NaN is off
-    if off.any():
-        raise GbzNotCircle(
-            f"middle moduli off the unit circle at band energy {E[off][0]}"
-        )
-
-
-def zak_phase(spec: ModelSpec, band: str = "plus", grid: int = 4096,
-              gap_tol: float = 1e-8) -> ZakResult:
-    """Geometric phase of one band transported once around the unit circle.
-
-    The loop lives on beta = e^{2 pi i k / N}.  At each point the 2x2
-    matrix is diagonalized; its left eigenvectors are the rows of the
-    closed-form inverse [[d, -b], [-c, a]] / det of the right-vector
-    matrix [[a, b], [c, d]], so left_i . right_j = delta_ij by
-    construction.  At beta = e^{ik} the matrix is -i gamma sin k times
-    the identity plus the Hermitian -2t cos k sigma_z + 2 delta sin k
-    sigma_y, so its two eigenvalues differ by a real number: wherever
-    the gap is open, "plus" is the member with the larger real part at
-    every grid point and "minus" the one with the smaller.  The residual
-    is the largest overlap of the chosen left vector with the other unit
-    right vector, i.e. the rounding of the inverse.
-
-    Blocks of BLOCK points each take one stacked `eig`, so only the loop
-    vectors are O(grid).  The first failing grid point raises
-    BandTouching: a gap at most gap_tol, else a singular right-vector
-    matrix.  Phase and residual agree to rounding with a point-by-point
-    two-solve loop that follows the band by eigenvector overlap.
-
-    With delta = 0 the matrix is diagonal with constant eigenvectors, so
-    each internal component is its own band and the loop phase vanishes
-    identically; that path bypasses the gap check, which would otherwise
-    reject the harmless eigenvalue crossings of the two components.
+    At beta = e^{ik} the matrix is -i gamma sin k times the identity plus
+    d(k) . sigma with d = (0, 2 delta sin k, -2t cos k).  The identity part
+    leaves the eigenvectors alone, so the biorthogonal loop phase is the
+    Berry phase of the Hermitian, planar d . sigma: pi times the winding
+    of (-2t cos k, 2 delta sin k) about the origin (Zak, PRL 62, 2747
+    (1989); Lieu, PRB 97, 045106 (2018)).  That winding is +-1 whenever t
+    and delta are nonzero, the same for both bands and for any loop
+    discretization, so the phase is pi.  With delta = 0 the matrix is
+    diagonal with constant eigenvectors and the phase is 0.  The gap
+    4 sqrt(t^2 cos^2 k + delta^2 sin^2 k) has minimum 4 min(|t|, |delta|);
+    at most 1e-8 it raises BandTouching.
     """
     validate_spec(spec)
-    if band not in ("plus", "minus"):
-        raise ConfigError(f"band must be 'plus' or 'minus', got {band!r}")
-    if grid < 64:
-        raise ConfigError(f"grid must be at least 64, got {grid}")
     if spec.big_v != 0.0:
         raise UnsupportedPotential("zak_phase is defined for V = 0 only")
-    _check_unit_circle(spec)
-
+    _require_four_roots(spec)
     if spec.delta == 0.0:
-        return ZakResult(band=band, phase=0.0, grid_points=grid, residual=0.0)
-
-    lefts, rights = np.empty((2, grid, 2), dtype=complex)
-    residual = 0.0
-    for start in range(0, grid, BLOCK):
-        k = np.arange(start, min(start + BLOCK, grid))
-        p = np.arange(len(k))
-        w, VR = np.linalg.eig(bloch_matrix(spec, np.exp(1j * (2.0 * np.pi * k / grid))))
-        a, b, c, d = VR.reshape(-1, 4).T
-        det = a * d - b * c
-        gap = np.abs(w[:, 0] - w[:, 1])
-        bad = np.flatnonzero((gap <= gap_tol) | (det == 0.0))
-        if bad.size:
-            q = bad[0]
-            if gap[q] <= gap_tol:
-                raise BandTouching(f"band gap {gap[q]:.2e} at grid point {start + q}")
-            raise BandTouching(f"left/right overlap vanished at grid point {start + q}")
-        Lj = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2) / det[:, None, None]
-        R = VR.swapaxes(1, 2)  # R[p, j] is right vector j, Lj[p, j] its left row
-        sel = np.argmax(w.real, axis=1) if band == "plus" else np.argmin(w.real, axis=1)
-        other = R[p, 1 - sel]
-        cross = np.einsum("pi,pi->p", Lj[p, sel], other) / np.linalg.norm(other, axis=1)
-        residual = max(residual, float(np.abs(cross).max()))
-        lefts[k], rights[k] = Lj[p, sel], R[p, sel]
-    return ZakResult(band=band, phase=wilson_loop_phase(lefts, rights),
-                     grid_points=grid, residual=residual)
+        return 0.0
+    gap = 4.0 * min(abs(spec.t), abs(spec.delta))
+    if gap <= 1e-8:
+        raise BandTouching(f"minimum band gap {gap:.2e} on the unit circle")
+    return float(np.pi)

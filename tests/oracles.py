@@ -2,8 +2,8 @@
 
 Each function here is a slow, one-point-at-a-time or dense form of a
 routine in `nhskin`: the per-point loops check the batched code, bit
-for bit (`==`) where the arithmetic is the same and to a tolerance for
-the Wilson loop, whose left vectors come from a different solve; the
+for bit (`==`) where the arithmetic is the same; the point-by-point
+Wilson loop is the reference for `zak_phase`'s closed form; the
 per-vector density profile checks the array pass of `classify_states`;
 the per-energy beta quartet and boundary determinant check their
 batched forms, to a tolerance, since numpy's complex array arithmetic
@@ -62,15 +62,14 @@ def wilson_loop_phase_loop(lefts, rights) -> float:
     return float(phase)
 
 
-def zak_phase_loop(spec, band: str = "plus", grid: int = 4096,
-                   gap_tol: float = 1e-8) -> tuple[float, float]:
+def zak_phase_loop(spec, band: str = "plus", grid: int = 4096) -> tuple[float, float]:
     """(phase, residual) of the Wilson loop, one grid point at a time.
 
-    Two 2x2 `eig` calls per point (H and its adjoint), band continuity
-    by the larger overlap with the previous left vector, and the same
-    BandTouching errors as `nhskin.nonbloch.zak_phase`.  The model's
-    input checks, the unit-circle check and the delta = 0 bypass are
-    left to the caller.
+    Two 2x2 `eig` calls per point (H and its adjoint) and band
+    continuity by the larger overlap with the previous left vector;
+    BandTouching where the gap at a grid point is at most 1e-8 or a
+    left/right overlap vanishes.  The model's input checks and the
+    delta = 0 case are left to the caller.
     """
     lefts = []
     rights = []
@@ -86,7 +85,7 @@ def zak_phase_loop(spec, band: str = "plus", grid: int = 4096,
             wl = wl[::-1]
             WL = WL[:, ::-1]
         gap = abs(w[0] - w[1])
-        if gap <= gap_tol:
+        if gap <= 1e-8:
             raise BandTouching(f"band gap {gap:.2e} at grid point {k}")
         if prev_left is None:
             idx = int(np.argmax(w.real)) if band == "plus" else int(np.argmin(w.real))

@@ -26,10 +26,9 @@ from nhskin.nonbloch import (
     CASE_PLUS_MIDDLE,
     MID_EQUAL_RTOL,
     quartic_coefficients,
-    wilson_loop_phase,
 )
 from oracles import (band_energies_loop, pbc_spectrum, set_distance, solve_beta_scalar,
-                     zak_phase_loop)
+                     wilson_loop_phase_loop, zak_phase_loop)
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -195,24 +194,12 @@ def test_gbz_mirror_energy_same_moduli():
 
 
 def test_zak_phase_reference_chain_is_pi():
-    res = zak_phase(REFERENCE, band="plus", grid=4096)
-    assert abs(abs(res.phase) - np.pi) <= 1e-2
-    res_m = zak_phase(REFERENCE, band="minus", grid=4096)
-    assert abs(abs(res_m.phase) - np.pi) <= 1e-2
+    assert zak_phase(REFERENCE) == np.pi
 
 
 def test_zak_phase_trivial_chain_is_zero():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.0, num_sites=10)
-    res = zak_phase(spec, band="plus", grid=256)
-    assert abs(res.phase) <= 1e-6
-
-
-def test_zak_phase_grid_convergence():
-    p1 = zak_phase(REFERENCE, grid=512).phase
-    p2 = zak_phase(REFERENCE, grid=1024).phase
-    delta = abs(p1 - p2)
-    delta = min(delta, 2.0 * np.pi - delta)  # phases live on the circle
-    assert delta < 1e-3
+    assert zak_phase(spec) == 0.0
 
 
 def test_wilson_loop_gauge_invariance():
@@ -230,28 +217,40 @@ def test_wilson_loop_gauge_invariance():
         l = l / (l @ r)
         lefts.append(l)
         rights.append(r)
-    base = wilson_loop_phase(lefts, rights)
+    base = wilson_loop_phase_loop(lefts, rights)
     gauges = rng.normal(size=n) + 1j * rng.normal(size=n)
     gauged_l = [l / g for l, g in zip(lefts, gauges)]
     gauged_r = [r * g for r, g in zip(rights, gauges)]
-    assert abs(wilson_loop_phase(gauged_l, gauged_r) - base) <= 1e-10
+    assert abs(wilson_loop_phase_loop(gauged_l, gauged_r) - base) <= 1e-10
 
 
 def test_zak_phase_band_touching_detected():
     spec = ModelSpec(t=0.0, gamma=0.1, delta=0.5, num_sites=10)
     with pytest.raises(BandTouching):
-        zak_phase(spec, grid=256)
+        zak_phase(spec)
+
+
+@pytest.mark.parametrize("t,delta,closed", [(1e-10, 0.5, True), (1.0, 1e-10, True),
+                                            (1e-8, 0.5, False)])
+def test_zak_phase_gap_threshold(t, delta, closed):
+    # the minimum gap on the circle is exactly 4 min(|t|, |delta|)
+    spec = ModelSpec(t=t, gamma=1.5, delta=delta, num_sites=10)
+    if closed:
+        with pytest.raises(BandTouching, match="minimum band gap"):
+            zak_phase(spec)
+    else:
+        assert zak_phase(spec) == np.pi
 
 
 def test_zak_phase_requires_four_roots():
     spec = ModelSpec(t=1.0, gamma=1.0, delta=np.sqrt(0.75), num_sites=10)
-    with pytest.raises(DegenerateLeadingCoeff):
-        zak_phase(spec, grid=256)
+    with pytest.raises(DegenerateLeadingCoeff, match="two roots, not four"):
+        zak_phase(spec)
 
 
 def test_zak_phase_rejects_potential():
     with pytest.raises(UnsupportedPotential):
-        zak_phase(REFERENCE.replace(V=1.0, L=99), grid=256)
+        zak_phase(REFERENCE.replace(V=1.0, L=99))
 
 
 # gapped points: the README chain, a perfbench-box point, a weak-hopping one
@@ -259,63 +258,36 @@ GAPPED = [REFERENCE, ModelSpec(t=1.0, gamma=1.3, delta=0.35, num_sites=10),
           ModelSpec(t=0.3, gamma=2.0, delta=0.9, num_sites=10)]
 
 
+def _loop_agrees(spec, grid):
+    """The closed form equals the point-by-point Wilson loop of both bands
+    to 1e-9 on the circle, and the loop's left vectors pair to rounding."""
+    for band in ("plus", "minus"):
+        phase, residual = zak_phase_loop(spec, band, grid)
+        apart = abs(zak_phase(spec) - phase) % (2.0 * np.pi)
+        assert min(apart, 2.0 * np.pi - apart) <= 1e-9
+        assert residual <= 1e-14
+
+
 @pytest.mark.parametrize("grid", [64, 1000, 1025, 3000])
 @pytest.mark.parametrize("spec", GAPPED)
 def test_zak_phase_matches_point_loop(spec, grid):
-    # 1025 and 3000 cross block edges
-    for band in ("plus", "minus"):
-        res = zak_phase(spec, band=band, grid=grid)
-        phase, residual = zak_phase_loop(spec, band, grid)
-        apart = abs(res.phase - phase) % (2.0 * np.pi)
-        assert min(apart, 2.0 * np.pi - apart) <= 1e-12
-        assert res.residual <= 1e-14 and residual <= 1e-14
+    # the closed form holds at any loop discretization, odd grids included
+    _loop_agrees(spec, grid)
+
+
+_COUPLING = st.floats(1e-3, 2.0).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
 @settings(max_examples=15)
-@given(t=st.floats(1e-3, 2.0), gamma=st.floats(0.0, 3.0), delta=st.floats(1e-3, 2.0))
-def test_band_by_real_part_matches_continuity_oracle(t, gamma, delta):
+@given(t=_COUPLING, gamma=st.floats(0.0, 3.0), delta=_COUPLING)
+def test_closed_form_matches_continuity_oracle(t, gamma, delta):
     # the oracle follows the band by eigenvector overlap from k = 0; the
     # gap 4 sqrt(t^2 cos^2 k + delta^2 sin^2 k) stays open on the circle
     assume(abs(delta ** 2 - t ** 2 + gamma ** 2 / 4.0)
            >= 0.05 * max(delta ** 2, t ** 2, gamma ** 2 / 4.0))
     spec = ModelSpec(t=t, gamma=gamma, delta=delta, num_sites=10)
     for grid in (64, 1000):
-        for band in ("plus", "minus"):
-            res = zak_phase(spec, band=band, grid=grid)
-            phase, _ = zak_phase_loop(spec, band, grid)
-            apart = abs(res.phase - phase) % (2.0 * np.pi)
-            assert min(apart, 2.0 * np.pi - apart) <= 1e-12
-            assert res.residual <= 1e-14
-
-
-@pytest.mark.parametrize("spec,grid,gap_tol", [
-    (ModelSpec(t=0.0, gamma=0.1, delta=0.5, num_sites=10), 256, 1e-8),
-    (ModelSpec(t=0.0, gamma=0.1, delta=0.5, num_sites=10), 1000, 1e-8),
-    (ModelSpec(t=0.0, gamma=0.1, delta=0.5, num_sites=10), 3000, 1e-8),
-    # the gap first drops below 1.25 at point 1177, in the second block
-    (ModelSpec(t=1.0, gamma=1.5, delta=0.3, num_sites=10), 5000, 1.25),
-])
-def test_band_touching_message_matches_point_loop(spec, grid, gap_tol):
-    with pytest.raises(BandTouching) as got:
-        zak_phase(spec, grid=grid, gap_tol=gap_tol)
-    with pytest.raises(BandTouching) as want:
-        zak_phase_loop(spec, "plus", grid, gap_tol)
-    assert str(got.value) == str(want.value)
-
-
-def test_zak_phase_parallel_right_vectors_raise_band_touching(monkeypatch):
-    # a singular right-vector matrix has no inverse: it is reported as a
-    # vanished left/right overlap at the first such point, not a LinAlgError
-    eig = np.linalg.eig
-
-    def parallel_at_700(H):
-        w, VR = eig(H)
-        if len(H) > 700:
-            VR[700, :, 1] = VR[700, :, 0]
-        return w, VR
-    monkeypatch.setattr(np.linalg, "eig", parallel_at_700)
-    with pytest.raises(BandTouching, match="overlap vanished at grid point 700$"):
-        zak_phase(REFERENCE, grid=1000)
+        _loop_agrees(spec, grid)
 
 
 @pytest.mark.parametrize("num_k,offset", [(17, 0.0), (33, 0.5)])
@@ -332,19 +304,6 @@ def test_bloch_matrix_stack_matches_scalar_calls():
         assert np.array_equal(M, bloch_matrix(REFERENCE, b))
     with pytest.raises(ZeroBeta):
         bloch_matrix(REFERENCE, np.array([1.0, 0.0]))
-
-
-@settings(max_examples=12)
-@given(gamma=st.floats(0.0, 3.0), delta=st.floats(0.1, 1.5))
-def test_zak_phase_quantized_and_grid_converged(gamma, delta):
-    # t = 1 and delta != 0 keep the bands gapped on the whole circle; the
-    # line delta^2 - 1 + gamma^2/4 = 0 loses two beta roots
-    assume(abs(delta ** 2 - 1.0 + gamma ** 2 / 4.0) > 0.05)
-    spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, num_sites=10)
-    coarse, fine = (zak_phase(spec, grid=grid).phase for grid in (1024, 4096))
-    assert min(abs(coarse), abs(abs(coarse) - np.pi)) <= 1e-8
-    apart = abs(coarse - fine) % (2.0 * np.pi)
-    assert min(apart, 2.0 * np.pi - apart) <= 1e-8
 
 
 def test_band_energies_match_ring_spectrum():
