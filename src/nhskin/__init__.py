@@ -30,10 +30,7 @@ from .spectra import (
 from .nonbloch import (
     BetaQuartet,
     band_energies,
-    bloch_matrix,
-    char_poly_residual,
     continuum_condition,
-    gbz_modulus_report,
     solve_beta,
     zak_phase,
 )
@@ -53,8 +50,7 @@ __all__ = [
     "ring_candidates", "theorem_verdict",
     "EigenSystem", "SkinReport", "StateTable", "classify_states",
     "density_profile", "eigendecompose", "skin_metrics",
-    "BetaQuartet", "band_energies", "bloch_matrix",
-    "char_poly_residual", "continuum_condition", "gbz_modulus_report",
+    "BetaQuartet", "band_energies", "continuum_condition",
     "solve_beta", "zak_phase",
     "boundary_coeffs", "boundary_determinant",
     "boundary_matrix", "continuum_ratio",

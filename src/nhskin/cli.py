@@ -118,13 +118,10 @@ def load_model(args) -> ModelSpec:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed config {args.config}: {exc}") from exc
-    try:
-        spec = ModelSpec.from_dict(raw)
-        overrides = {k: getattr(args, k) for k in MODEL_FLAGS if getattr(args, k) is not None}
-        if overrides:
-            spec = ModelSpec.from_dict({**spec.to_dict(), **overrides})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model value: {exc}") from exc
+    spec = ModelSpec.from_dict(raw)
+    overrides = {k: getattr(args, k) for k in MODEL_FLAGS if getattr(args, k) is not None}
+    if overrides:
+        spec = ModelSpec.from_dict({**spec.to_dict(), **overrides})
     return validate_spec(spec)
 
 

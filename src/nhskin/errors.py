@@ -67,10 +67,6 @@ class NoBulkStates(NumericalError):
 
 # --- non-Bloch machinery ------------------------------------------------
 
-class ZeroBeta(ConfigError):
-    """beta = 0 is outside the domain of the non-Bloch matrix."""
-
-
 class UnsupportedPotential(ConfigError):
     """Operation is defined only for the translation-invariant chain (V = 0)."""
 

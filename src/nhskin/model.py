@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,24 +68,28 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        """Inverse of `to_dict`; rejects non-objects, unknown keys and non-integer L."""
+        """Inverse of `to_dict`; rejects non-objects, unknown keys, values that
+        are not JSON numbers (a bool is not one) or past float range, a
+        non-integer L and a boundary that is not a string."""
         if not isinstance(d, dict):
             raise ConfigError(f"model config must be a JSON object, got {type(d).__name__}")
-        unknown = sorted(set(d) - set(ModelSpec().to_dict()))
+        defaults = ModelSpec().to_dict()
+        unknown = sorted(set(d) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown model keys: {', '.join(unknown)}")
-        L = d.get("L", 2)
-        if isinstance(L, bool) or (isinstance(L, float) and not L.is_integer()):
-            raise ConfigError(f"L must be an integer, got {L!r}")
-        return ModelSpec(
-            t=float(d.get("t", 1.0)),
-            gamma=float(d.get("gamma", 0.0)),
-            delta=float(d.get("delta", 0.0)),
-            big_v=float(d.get("V", 0.0)),
-            theta=float(d.get("theta", 0.0)),
-            num_sites=int(L),
-            boundary=str(d.get("boundary", OBC)).lower(),
-        )
+        d = {**defaults, **d}
+        for key, x in d.items():
+            kind, name = (str, "a string") if key == "boundary" else (numbers.Real, "a number")
+            if isinstance(x, bool) or not isinstance(x, kind):
+                raise ConfigError(f"{key} must be {name}, got {x!r}")
+        if isinstance(d["L"], float) and not d["L"].is_integer():
+            raise ConfigError(f"L must be an integer, got {d['L']!r}")
+        try:
+            return ModelSpec(t=float(d["t"]), gamma=float(d["gamma"]), delta=float(d["delta"]),
+                             big_v=float(d["V"]), theta=float(d["theta"]),
+                             num_sites=int(d["L"]), boundary=d["boundary"].lower())
+        except OverflowError as exc:  # a JSON integer past float range
+            raise ConfigError(f"model value out of range: {exc}") from exc
 
 
 def validate_spec(spec: ModelSpec) -> ModelSpec:

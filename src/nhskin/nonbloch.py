@@ -17,12 +17,12 @@ of beta^2 - x beta - 1 = 0 whose product is exactly -1, so the four
 moduli come in reciprocal pairs.  A continuum band requires the two
 middle moduli to coincide, which combined with the pair products forces
 them onto the unit circle: open-chain bulk states of this chain stay
-extended.  `zak_phase` gives the band's geometric phase around that
-circle from its closed form: pi (the phase with protected end modes)
-while the gap is open, 0 at delta = 0.  `bloch_matrix` takes an array
-of beta and `solve_beta` an array of energies, returning an (n, 4) root
-array; on the line delta^2 - t^2 + gamma^2/4 = 0, where the quartic
-keeps two roots only, `solve_beta` and `zak_phase` refuse.
+extended.  At beta = e^{ik}, H = -i gamma sin k I + d(k) . sigma with
+d = (0, 2 delta sin k, -2t cos k): `band_energies` samples its bands
+and `zak_phase` gives their geometric phase around the circle, both
+from closed forms.  `solve_beta` takes an array of energies and returns
+an (n, 4) root array; on the line delta^2 - t^2 + gamma^2/4 = 0, where
+the quartic keeps two roots only, `solve_beta` and `zak_phase` refuse.
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BandTouching,
-    ConfigError,
-    DegenerateLeadingCoeff,
-    UnsupportedPotential,
-    ZeroBeta,
-)
+from .errors import BandTouching, ConfigError, DegenerateLeadingCoeff, UnsupportedPotential
 from .model import ModelSpec, validate_spec
 
 BRANCH_ORDER = ("1+", "2+", "1-", "2-")
@@ -82,45 +76,6 @@ def _require_four_roots(spec: ModelSpec) -> float:
         raise DegenerateLeadingCoeff(
             "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, not four")
     return a
-
-
-def bloch_matrix(spec: ModelSpec, beta) -> np.ndarray:
-    """H(beta), the 2x2 momentum-space matrix at complex beta; an array
-    of beta gives the stack of shape beta.shape + (2, 2)."""
-    validate_spec(spec)
-    if spec.big_v != 0.0:
-        raise UnsupportedPotential("bloch_matrix is defined for V = 0 only")
-    if np.any(beta == 0):
-        raise ZeroBeta("beta must be nonzero")
-    bi = 1.0 / beta
-    diff = bi - beta
-    s = bi + beta
-    g2 = 0.5 * spec.gamma * diff
-    H = np.array([[g2 - spec.t * s, spec.delta * diff],
-                  [-spec.delta * diff, g2 + spec.t * s]], dtype=complex)
-    return np.moveaxis(H, (0, 1), (-2, -1))
-
-
-def char_poly_residual(spec: ModelSpec, E, beta):
-    """The characteristic expression; zero iff (E, beta) is on shell.
-
-    Equals det[H(beta) - E I] identically, which the tests cross-check.
-    E and beta broadcast against each other.
-    """
-    if np.any(beta == 0):
-        raise ZeroBeta("beta must be nonzero")
-    a = _leading_coeff(spec)
-    bi = 1.0 / beta
-    return (a * (beta ** 2 + bi ** 2 - 2.0)
-            + E * spec.gamma * (beta - bi)
-            + (E * E - 4.0 * spec.t ** 2))
-
-
-def quartic_coefficients(spec: ModelSpec, E: complex) -> list[complex]:
-    """Coefficients of beta^4..beta^0 after clearing beta^-2."""
-    a = _leading_coeff(spec)
-    return [a, E * spec.gamma, E * E - 4.0 * spec.t ** 2 - 2.0 * a,
-            -E * spec.gamma, a]
 
 
 def continuum_condition(roots: np.ndarray) -> np.ndarray:
@@ -183,7 +138,9 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
 
 
 def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarray:
-    """Energies of both bands sampled on the unit circle beta = e^{ik}.
+    """The bands E+-(k) = -i gamma sin k +- 2 sqrt(t^2 cos^2 k + delta^2 sin^2 k)
+    of H(e^{ik}) (Yao and Wang, PRL 121, 086803 (2018)), interleaved as
+    E+(k_0), E-(k_0), E+(k_1), ...
 
     These are the bulk-band energies the open chain converges to; exact
     finite-chain eigenvalues sit within O(1/L) of this set.  A fractional
@@ -192,11 +149,14 @@ def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarra
     have genuine 0/0 points.
     """
     validate_spec(spec)
+    if spec.big_v != 0.0:
+        raise UnsupportedPotential("band_energies is defined for V = 0 only")
     if num_k < 1:
         raise ConfigError("num_k must be positive")
-    # real angles: numpy divides complex by int via the reciprocal
-    beta = np.exp(1j * (2.0 * np.pi * (np.arange(num_k) + offset) / num_k))
-    return np.linalg.eigvals(bloch_matrix(spec, beta)).ravel()
+    k = 2.0 * np.pi * (np.arange(num_k) + offset) / num_k
+    half_gap = 2.0 * np.hypot(spec.t * np.cos(k), spec.delta * np.sin(k))
+    shift = -1j * spec.gamma * np.sin(k)
+    return np.stack([shift + half_gap, shift - half_gap], axis=1).ravel()
 
 
 def gbz_modulus_report(spec: ModelSpec, energies) -> BetaQuartet:
@@ -210,17 +170,16 @@ def gbz_modulus_report(spec: ModelSpec, energies) -> BetaQuartet:
 def zak_phase(spec: ModelSpec) -> float:
     """Geometric phase of either band transported once around the unit circle.
 
-    At beta = e^{ik} the matrix is -i gamma sin k times the identity plus
-    d(k) . sigma with d = (0, 2 delta sin k, -2t cos k).  The identity part
-    leaves the eigenvectors alone, so the biorthogonal loop phase is the
-    Berry phase of the Hermitian, planar d . sigma: pi times the winding
-    of (-2t cos k, 2 delta sin k) about the origin (Zak, PRL 62, 2747
+    The identity part of H(e^{ik}) (module docstring) leaves the
+    eigenvectors alone, so the biorthogonal loop phase is the Berry phase
+    of the Hermitian, planar d . sigma: pi times the winding of
+    (-2t cos k, 2 delta sin k) about the origin (Zak, PRL 62, 2747
     (1989); Lieu, PRB 97, 045106 (2018)).  That winding is +-1 whenever t
     and delta are nonzero, the same for both bands and for any loop
-    discretization, so the phase is pi.  With delta = 0 the matrix is
-    diagonal with constant eigenvectors and the phase is 0.  The gap
-    4 sqrt(t^2 cos^2 k + delta^2 sin^2 k) has minimum 4 min(|t|, |delta|);
-    at most 1e-8 it raises BandTouching.
+    discretization, so the phase is pi (the phase with protected end
+    modes).  With delta = 0 the matrix is diagonal with constant
+    eigenvectors and the phase is 0.  The gap E+ - E- has minimum
+    4 min(|t|, |delta|); at most 1e-8 it raises BandTouching.
     """
     validate_spec(spec)
     if spec.big_v != 0.0:

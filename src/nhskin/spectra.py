@@ -45,7 +45,7 @@ from .errors import (
     NoBulkStates,
     ZeroVector,
 )
-from .symmetry import connected_components
+from .symmetry import connected_components, scaled_norm
 
 CLUSTER_TOL = 1e-10
 # Unit right vectors with 1 - |r_i^H r_j| below this are one eigenvector
@@ -175,7 +175,7 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
     D = np.abs(w[:, None] - w[None, :])
     # two unit right vectors this parallel have |E_i - E_j| below
     # 2 |H| sqrt(2 tol) / (1 - tol), so only such close pairs are compared
-    i, j = np.nonzero(np.triu(D <= 3.0 * np.sqrt(EP_OVERLAP_TOL) * np.linalg.norm(H), 1))
+    i, j = np.nonzero(np.triu(D <= 3.0 * np.sqrt(EP_OVERLAP_TOL) * scaled_norm(H), 1))
     ep = np.abs(np.einsum("ki,ki->i", right[:, i].conj(), right[:, j])) > 1.0 - EP_OVERLAP_TOL
     i, j = i[ep], j[ep]
     parallel = np.zeros(N, dtype=bool)

@@ -129,12 +129,25 @@ def ring_candidates() -> list[SymmetryOp]:
     return [SymmetryOp("sy", True, center=c) for c in range(6)]
 
 
+def scaled_norm(x) -> float:
+    """np.linalg.norm(x) (Frobenius for a matrix), taken of x / 2^e and
+    multiplied back by 2^e, with 2^e the power of two just above max |x|.
+
+    The sum of squares then neither overflows nor underflows at any
+    scale of x, and scaling by a power of two is exact, so wherever the
+    plain sum stays in range the result keeps its bits.
+    """
+    x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    _, e = np.frexp(np.abs(x).max(initial=0.0))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x.view(float), -e).view(x.dtype)), e))
+
+
 def _difference_norm(n: int, a: tuple, b: tuple) -> float:
     """||A - B||_F for n x n (rows, cols, vals) lists, each one entry per position."""
     _, at = np.unique(np.concatenate([a[0] * n + a[1], b[0] * n + b[1]]), return_inverse=True)
     diff = np.zeros(at.max(initial=-1) + 1, dtype=complex)
     np.add.at(diff, at, np.concatenate([a[2], -b[2]]))
-    return float(np.linalg.norm(diff))
+    return scaled_norm(diff)
 
 
 def commutator_residual(H: Bonds, S: SymmetryOp) -> float:
@@ -150,7 +163,7 @@ def commutator_residual(H: Bonds, S: SymmetryOp) -> float:
     inv = np.argsort(sigma)
     r, c, v = H.rows, H.cols, H.vals
     num = _difference_norm(H.dim, (r, sigma[c], v * coeff[c]), (inv[r], c, coeff[inv[r]] * v))
-    return num / max(float(np.linalg.norm(v)), 1e-300)
+    return num / max(scaled_norm(v), 1e-300)
 
 
 def connected_components(n: int, i, j) -> list[np.ndarray]:
@@ -201,9 +214,9 @@ def theorem_verdict(H: Bonds, candidates: list[SymmetryOp],
     by construction); otherwise skin localization is the symmetry-based
     prediction, to be cross-checked against real-space diagnostics.
     """
-    if not tol > 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    if _difference_norm(H.dim, H[:3], (H.cols, H.rows, H.vals)) <= tol * np.linalg.norm(H.vals):
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    if _difference_norm(H.dim, H[:3], (H.cols, H.rows, H.vals)) <= tol * scaled_norm(H.vals):
         return Verdict(kind=KIND_HERMITIAN)
     reducible, components = is_reducible(H)
     if reducible:

@@ -2,10 +2,12 @@
 
 Each function here is a slow, one-point-at-a-time or dense form of a
 routine in `nhskin`: the per-point loops check the batched code, bit
-for bit (`==`) where the arithmetic is the same; the point-by-point
-Wilson loop is the reference for `zak_phase`'s closed form; the
-per-vector density profile checks the array pass of `classify_states`;
-the per-energy beta quartet and boundary determinant check their
+for bit (`==`) where the arithmetic is the same; the 2x2 Bloch matrix,
+its eigenvalues per k and the point-by-point Wilson loop are the
+references for the closed forms of `band_energies` and `zak_phase`;
+the characteristic polynomial and its companion coefficients check the
+quartet of `solve_beta`; the per-vector density profile checks the
+array pass of `classify_states`; the per-energy beta quartet and boundary determinant check their
 batched forms, to a tolerance, since numpy's complex array arithmetic
 rounds differently from Python's; the dense model builder, reflections
 and reducibility test are the references for the bond-list code; the
@@ -46,6 +48,26 @@ def band_energies_loop(spec, num_k: int, offset: float = 0.0) -> np.ndarray:
         b = np.exp(2j * np.pi * (m + offset) / num_k)
         out[2 * m:2 * m + 2] = np.linalg.eigvals(bloch_matrix_scalar(spec, b))
     return out
+
+
+def char_poly_residual(spec, E, beta):
+    """The characteristic expression; zero iff (E, beta) is on shell.
+
+    Equals det[H(beta) - E I] identically, which the tests cross-check.
+    E and beta broadcast against each other.
+    """
+    a = spec.delta ** 2 - spec.t ** 2 + spec.gamma ** 2 / 4.0
+    bi = 1.0 / beta
+    return (a * (beta ** 2 + bi ** 2 - 2.0)
+            + E * spec.gamma * (beta - bi)
+            + (E * E - 4.0 * spec.t ** 2))
+
+
+def quartic_coefficients(spec, E: complex) -> list[complex]:
+    """Coefficients of beta^4..beta^0 after clearing beta^-2, for np.roots."""
+    a = spec.delta ** 2 - spec.t ** 2 + spec.gamma ** 2 / 4.0
+    return [a, E * spec.gamma, E * E - 4.0 * spec.t ** 2 - 2.0 * a,
+            -E * spec.gamma, a]
 
 
 def wilson_loop_phase_loop(lefts, rights) -> float:

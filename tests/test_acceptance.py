@@ -17,7 +17,6 @@ from nhskin import (
     OBC,
     PBC,
     band_energies,
-    bloch_matrix,
     boundary_determinant,
     bonds,
     build_bdg,
@@ -32,9 +31,9 @@ from nhskin import (
     zak_phase,
 )
 from nhskin.cli import main
-from nhskin.nonbloch import quartic_coefficients
 from nhskin.symmetry import KIND_REDUCIBLE, SymmetryOp
-from oracles import build_single_particle, negation_distance, pbc_spectrum, set_distance
+from oracles import (build_single_particle, negation_distance, pbc_spectrum,
+                     quartic_coefficients, set_distance)
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -204,11 +203,7 @@ def test_criterion_11_oracle_equivalence():
         worst_roots = max(worst_roots, set_distance(mine, other))
     spec = REFERENCE.replace(L=50, boundary=PBC)
     ring = pbc_spectrum(spec)
-    samples = np.concatenate([
-        np.linalg.eigvals(bloch_matrix(REFERENCE, np.exp(2j * np.pi * m / 50)))
-        for m in range(50)
-    ])
-    spectral = set_distance(ring, samples)
+    spectral = set_distance(ring, band_energies(REFERENCE, 50))
     ok = worst_roots <= 1e-9 and spectral <= 1e-9
     report(11, "closed form vs companion; ring vs unit circle", ok,
            f"roots={worst_roots:.2e} ring={spectral:.2e}")

@@ -473,6 +473,47 @@ def test_non_integer_length_is_config_error(tmp_path, capsys):
     assert "12.7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t", True), ("t", "2"), ("gamma", None), ("delta", [0.5]), ("V", {"x": 1}),
+    ("theta", False), ("L", "10"), ("L", True), ("boundary", 1), ("boundary", None),
+    pytest.param("t", 10 ** 400, id="t-integer-past-float-range"),
+])
+def test_config_values_must_be_json_numbers(tmp_path, capsys, key, value):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({**REFERENCE_CONFIG, key: value}))
+    rc = main(["symmetry", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "o" / "verdict.json").exists()
+
+
+BROKEN_CHAIN = {"t": 1.0, "gamma": 1.5, "delta": 0.5, "V": 2.0, "theta": 0.3, "L": 12}
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_verdicts_do_not_depend_on_the_energy_scale(tmp_path, scale):
+    # the sums of squares behind the norms leave the float range here
+    def run(name, command, *flags, factor=1.0):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**BROKEN_CHAIN, **{k: BROKEN_CHAIN[k] * factor
+                                                      for k in ("t", "gamma", "delta", "V")}}))
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+        return out
+    unit = json.loads((run("unit", "symmetry") / "verdict.json").read_text())
+    scaled = json.loads((run("scaled", "symmetry", factor=scale) / "verdict.json").read_text())
+    assert unit["kind"] == scaled["kind"] == "nhse_expected"
+    assert unit["candidate"] == scaled["candidate"]
+    assert scaled["residual"] == pytest.approx(unit["residual"], rel=1e-12)
+    _, unit = read_csv(run("sweep_unit", "sweep-theta", "--steps", "6") / "sweep.csv")
+    _, scaled = read_csv(run("sweep_scaled", "sweep-theta", "--steps", "6", factor=scale)
+                         / "sweep.csv")
+    assert [r[3] for r in scaled] == [r[3] for r in unit]
+    assert [float(r[2]) for r in scaled] == pytest.approx([float(r[2]) for r in unit],
+                                                          rel=1e-12, abs=1e-15)
+
+
 def test_missing_config_io_exit_code(tmp_path):
     rc = main(["spectrum", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "o")])
@@ -499,6 +540,9 @@ DEGENERATE_LINE = ["--t", "1.25", "--gamma", "1.5", "--delta", "1"]
     (["gbz", "--num-energies", "-3"], 1),
     (["spectrum", "--w-edge", "nan"], 1),
     (["symmetry", "--tol", "nan"], 1),
+    # an infinite tol would pass any chain through the Hermitian gate
+    (["symmetry", "--tol", "inf"], 1),
+    (["sweep-theta", "--steps", "6", "--tol", "inf"], 1),
     (["spectrum", "--L", "abc"], 1),
     (["spectrum", "--no-such-flag"], 1),
     # only sweep-theta runs the skin test, so only it takes its threshold

@@ -265,6 +265,30 @@ def test_verdict_requires_positive_tol():
         theorem_verdict(bonds_of(np.eye(4)), [], tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_verdict_requires_finite_tol(tol):
+    # an infinite tol would pass any chain through the Hermitian gate
+    with pytest.raises(ConfigError, match="finite"):
+        theorem_verdict(bonds(REFERENCE.replace(V=2.0, theta=0.3, L=12)), [], tol=tol)
+
+
+@pytest.mark.parametrize("exponent", [520, -520])
+@pytest.mark.parametrize("gamma, theta, kind", [(1.5, 0.3, KIND_EXPECTED),
+                                                 (1.5, 2.0 * math.pi / 3.0, KIND_BLOCKED),
+                                                 (0.0, 0.3, KIND_HERMITIAN)],
+                         ids=["broken", "blocked", "hermitian"])
+def test_verdict_is_scale_free(exponent, gamma, theta, kind):
+    # the couplings times 2^520 square past the float range and times
+    # 2^-520 below it; the norms scale exactly, so every bit stays
+    def verdict(scale):
+        spec = ModelSpec(t=scale, gamma=gamma * scale, delta=0.5 * scale, big_v=2.0 * scale,
+                         theta=theta, num_sites=12, boundary=PBC)
+        return theorem_verdict(bonds(spec), default_candidates() + ring_candidates())
+    unit, scaled = verdict(1.0), verdict(2.0 ** exponent)
+    assert unit.kind == kind
+    assert scaled.to_dict() == unit.to_dict()
+
+
 def test_verdict_deterministic_and_order_respecting():
     H = bonds(REFERENCE.replace(L=12))
     cands = default_candidates()
