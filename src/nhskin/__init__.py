@@ -8,7 +8,7 @@ diagnostics, the complex decay-factor (beta) analysis of bulk states,
 band geometric phases, and a finite-chain boundary determinant.
 """
 
-from .model import Bonds, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
+from .model import Bonds, ModelSpec, OBC, PBC, bonds, build_bdg
 from .symmetry import (
     SymmetryOp,
     Verdict,
@@ -44,7 +44,7 @@ from .boundary import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bonds", "ModelSpec", "OBC", "PBC", "bonds", "build_bdg", "validate_spec",
+    "Bonds", "ModelSpec", "OBC", "PBC", "bonds", "build_bdg",
     "SymmetryOp", "Verdict",
     "commutator_residual", "default_candidates", "is_reducible",
     "ring_candidates", "theorem_verdict",

@@ -39,7 +39,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import SingularDenominator
-from .model import ModelSpec, validate_spec
+from .model import ModelSpec
 from .nonbloch import solve_beta
 
 # Columns of the condition matrix, as indices into BRANCH_ORDER: 1+, 1-, 2-, 2+.
@@ -61,7 +61,6 @@ def boundary_coeffs(spec: ModelSpec, E, roots: np.ndarray) -> np.ndarray:
     Raises SingularDenominator when the amplitude-ratio denominator of
     some root is within 1e-12 (relative to the energy scale) of zero.
     """
-    validate_spec(spec)
     t, g, d = spec.t, spec.gamma, spec.delta
     E = np.asarray(E, dtype=complex).reshape(-1, 1)
     b = np.asarray(roots, dtype=complex)

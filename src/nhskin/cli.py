@@ -4,7 +4,8 @@ Subcommands: spectrum, profiles, symmetry, gbz, zak, sweep-theta,
 boundary.  Each is a function (spec, args) -> Output: one primary CSV or
 JSON file, plus a figure for all but symmetry and zak.  `main` does the
 rest for every command: it reads the model from a JSON config file (keys
-t, gamma, delta, V, theta, L, boundary; flags take precedence), writes
+t, gamma, delta, V, theta, L, boundary; flags take precedence and are
+merged in before the spec is built, which checks it), writes
 the primary file into --out and, under --svg, <stem>.svg beside it,
 prints the primary path and any warnings (spectrum, profiles and
 sweep-theta warn on stderr about ill-conditioned eigenvalues), and maps
@@ -46,8 +47,7 @@ from . import svgplot
 from .boundary import boundary_determinant, continuum_ratio
 from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalError,
                      SelectionOutOfRange, UnsupportedPotential)
-from .model import (MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, theta_orbits,
-                    validate_spec)
+from .model import MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, theta_orbits
 from .nonbloch import band_energies, gbz_modulus_report, zak_phase
 from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
                       KAPPA_EPS_BOUND, classify_states, eigendecompose, skin_metrics)
@@ -118,11 +118,9 @@ def load_model(args) -> ModelSpec:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed config {args.config}: {exc}") from exc
-    spec = ModelSpec.from_dict(raw)
-    overrides = {k: getattr(args, k) for k in MODEL_FLAGS if getattr(args, k) is not None}
-    if overrides:
-        spec = ModelSpec.from_dict({**spec.to_dict(), **overrides})
-    return validate_spec(spec)
+    if isinstance(raw, dict):  # flags take precedence; from_dict refuses a non-object
+        raw = {**raw, **{k: getattr(args, k) for k in MODEL_FLAGS if getattr(args, k) is not None}}
+    return ModelSpec.from_dict(raw)
 
 
 def resolve_ell(args, num_sites: int) -> int:
@@ -237,8 +235,12 @@ def cmd_symmetry(spec: ModelSpec, args) -> Output:
 def cmd_gbz(spec: ModelSpec, args) -> Output:
     if spec.big_v != 0.0:
         raise UnsupportedPotential("gbz requires V = 0")
-    # bulk band energies, deterministically sampled by Re-E quantiles
-    cand = band_energies(spec, max(args.num_energies, 8))
+    # bulk band energies, deterministically sampled by Re-E quantiles; on an
+    # even grid of n points E(k_j) = E(k_(n/2 - j)) (k -> pi - k), so only
+    # the first grid point of each mirror pair is a candidate
+    n = max(args.num_energies + args.num_energies % 2, 8)
+    j = np.arange(n)
+    cand = band_energies(spec, n).reshape(n, 2)[j <= (n // 2 - j) % n].ravel()
     cand = cand[np.lexsort((cand.imag, cand.real))]
     picks = np.unique(np.round(np.linspace(0, len(cand) - 1, args.num_energies)).astype(int))
     q = gbz_modulus_report(spec, cand[picks])

@@ -17,6 +17,10 @@ and the onsite potential entering the particle block as +V_n and the
 hole block as -V_n.  Under periodic boundaries the same amplitudes wrap
 the (L, 1) bond.  The model is stored as its ~10L nonzero couplings
 (`bonds`); `build_bdg` densifies them for the eigensolvers.
+
+A `ModelSpec` checks its values when it is built (also by `replace`
+and `from_dict`) and raises a ConfigError subclass on a bad one, so a
+spec that exists is valid and no function that takes one re-checks it.
 """
 
 from __future__ import annotations
@@ -36,14 +40,27 @@ PBC = "pbc"
 
 # Largest chain: a dense 2L x 2L eigensolve at this size takes minutes.
 MAX_SITES = 2048
+# Largest magnitude of t, gamma, delta and V: the entries of H (sums of
+# two couplings) and the band energies then stay in double range.
+MAX_ENERGY = 1e300
+
+
+# Config key of each field, in field order; V and L are the names the
+# config files and command-line flags use.
+FIELDS = {"t": "t", "gamma": "gamma", "delta": "delta", "V": "big_v", "theta": "theta",
+          "L": "num_sites", "boundary": "boundary"}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full parameterization of the chain.
+    """Full parameterization of the chain, checked once when it is built.
 
-    t, gamma, delta, big_v are energies; theta is a phase in radians;
-    num_sites is the number of lattice sites; boundary is "obc" or "pbc".
+    t, gamma, delta, big_v are energies (|x| <= MAX_ENERGY); theta is a
+    phase in radians; num_sites is the number of lattice sites, in
+    [2, MAX_SITES]; boundary is "obc" or "pbc" in any case.  A ring with
+    V != 0 needs 3 | L.  Values are stored as floats, an int and a
+    lower-case string.  A bad value raises a ConfigError subclass that
+    names its config key: NonFinite, NonPositiveSize, PbcPeriodMismatch.
     """
 
     t: float = 1.0
@@ -54,67 +71,55 @@ class ModelSpec:
     num_sites: int = 2
     boundary: str = OBC
 
-    def replace(self, **kwargs) -> "ModelSpec":
-        alias = {"V": "big_v", "L": "num_sites"}
-        kwargs = {alias.get(k, k): v for k, v in kwargs.items()}
-        return dataclasses.replace(self, **kwargs)
+    def __post_init__(self):
+        for key, name in FIELDS.items():
+            x = getattr(self, name)
+            if key == "boundary":
+                if not isinstance(x, str) or x.lower() not in (OBC, PBC):
+                    raise ConfigError(f"boundary must be 'obc' or 'pbc', got {x!r}")
+                x = x.lower()
+            elif isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ConfigError(f"{key} must be a number, got {x!r}")
+            elif key == "L":
+                if not isinstance(x, numbers.Integral) and not (
+                        isinstance(x, float) and x.is_integer()):
+                    raise ConfigError(f"L must be an integer, got {x!r}")
+                x = int(x)
+                if x < 2:
+                    raise NonPositiveSize(f"L must be >= 2, got {x}")
+                if x > MAX_SITES:
+                    raise ConfigError(f"L must be <= {MAX_SITES}, got {x}")
+            else:
+                try:
+                    x = float(x)
+                except OverflowError as exc:  # an integer past float range
+                    raise ConfigError(f"{key} is out of range: {exc}") from exc
+                if not math.isfinite(x):
+                    raise NonFinite(f"{key} is not finite: {x!r}")
+                if key != "theta" and abs(x) > MAX_ENERGY:
+                    raise ConfigError(f"|{key}| must be <= {MAX_ENERGY:g}, got {x!r}")
+            object.__setattr__(self, name, x)
+        if self.boundary == PBC and self.big_v != 0.0 and self.num_sites % 3 != 0:
+            raise PbcPeriodMismatch(
+                f"PBC with V != 0 requires L divisible by 3, got {self.num_sites}")
+
+    def replace(self, **changes) -> "ModelSpec":
+        """A checked copy with the given fields, named by field or config key."""
+        return dataclasses.replace(self, **{FIELDS.get(k, k): v for k, v in changes.items()})
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t, "gamma": self.gamma, "delta": self.delta,
-            "V": self.big_v, "theta": self.theta,
-            "L": self.num_sites, "boundary": self.boundary,
-        }
+        return {key: getattr(self, name) for key, name in FIELDS.items()}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        """Inverse of `to_dict`; rejects non-objects, unknown keys, values that
-        are not JSON numbers (a bool is not one) or past float range, a
-        non-integer L and a boundary that is not a string."""
+        """Inverse of `to_dict`; missing keys take their defaults.  Rejects a
+        non-object and unknown keys; the values are checked on construction."""
         if not isinstance(d, dict):
             raise ConfigError(f"model config must be a JSON object, got {type(d).__name__}")
-        defaults = ModelSpec().to_dict()
-        unknown = sorted(set(d) - set(defaults))
+        unknown = sorted(set(d) - set(FIELDS))
         if unknown:
             raise ConfigError(f"unknown model keys: {', '.join(unknown)}")
-        d = {**defaults, **d}
-        for key, x in d.items():
-            kind, name = (str, "a string") if key == "boundary" else (numbers.Real, "a number")
-            if isinstance(x, bool) or not isinstance(x, kind):
-                raise ConfigError(f"{key} must be {name}, got {x!r}")
-        if isinstance(d["L"], float) and not d["L"].is_integer():
-            raise ConfigError(f"L must be an integer, got {d['L']!r}")
-        try:
-            return ModelSpec(t=float(d["t"]), gamma=float(d["gamma"]), delta=float(d["delta"]),
-                             big_v=float(d["V"]), theta=float(d["theta"]),
-                             num_sites=int(d["L"]), boundary=d["boundary"].lower())
-        except OverflowError as exc:  # a JSON integer past float range
-            raise ConfigError(f"model value out of range: {exc}") from exc
-
-
-def validate_spec(spec: ModelSpec) -> ModelSpec:
-    """Check the model invariants and return the spec unchanged.
-
-    Raises NonFinite for NaN/Inf parameters, NonPositiveSize for chains
-    shorter than two sites, ConfigError for chains longer than MAX_SITES,
-    and PbcPeriodMismatch when a periodic ring with V != 0 has a length
-    that is not a multiple of 3 (the potential period).
-    """
-    for name in ("t", "gamma", "delta", "big_v", "theta"):
-        x = getattr(spec, name)
-        if not math.isfinite(x):
-            raise NonFinite(f"parameter {name} is not finite: {x!r}")
-    if spec.num_sites < 2:
-        raise NonPositiveSize(f"num_sites must be >= 2, got {spec.num_sites}")
-    if spec.num_sites > MAX_SITES:
-        raise ConfigError(f"num_sites must be <= {MAX_SITES}, got {spec.num_sites}")
-    if spec.boundary not in (OBC, PBC):
-        raise ConfigError(f"boundary must be 'obc' or 'pbc', got {spec.boundary!r}")
-    if spec.boundary == PBC and spec.big_v != 0.0 and spec.num_sites % 3 != 0:
-        raise PbcPeriodMismatch(
-            f"PBC with V != 0 requires num_sites divisible by 3, got {spec.num_sites}"
-        )
-    return spec
+        return ModelSpec(**{FIELDS[k]: v for k, v in d.items()})
 
 
 def onsite_potential(spec: ModelSpec) -> np.ndarray:
@@ -136,7 +141,6 @@ class Bonds(NamedTuple):
 def bonds(spec: ModelSpec) -> Bonds:
     """Nonzero entries of [[h, dm], [-dm, -h^T]], summed per position (the two-site
     ring's wrap bond lands on the inner one); no normal-ordering constant."""
-    validate_spec(spec)
     L, N = spec.num_sites, 2 * spec.num_sites
     n = np.arange(L if spec.boundary == PBC else L - 1)  # bonds (n, n+1), PBC wrap included
     m, site, k = (n + 1) % L, np.arange(L), len(n)

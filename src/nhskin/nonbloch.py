@@ -23,6 +23,9 @@ and `zak_phase` gives their geometric phase around the circle, both
 from closed forms.  `solve_beta` takes an array of energies and returns
 an (n, 4) root array; on the line delta^2 - t^2 + gamma^2/4 = 0, where
 the quartic keeps two roots only, `solve_beta` and `zak_phase` refuse.
+The roots depend only on the ratios of E, t, gamma and delta, so both
+divide the couplings (and `solve_beta` the energies) by a common power
+of two first: no square leaves double range at any coupling scale.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandTouching, ConfigError, DegenerateLeadingCoeff, UnsupportedPotential
-from .model import ModelSpec, validate_spec
+from .model import ModelSpec
 
 BRANCH_ORDER = ("1+", "2+", "1-", "2-")
 
@@ -64,18 +67,20 @@ class BetaQuartet:
         return np.abs(self.sorted_moduli[:, 1:3] - 1.0).max(axis=1)
 
 
-def _leading_coeff(spec: ModelSpec) -> float:
-    return spec.delta ** 2 - spec.t ** 2 + spec.gamma ** 2 / 4.0
-
-
-def _require_four_roots(spec: ModelSpec) -> float:
-    """The leading coefficient, refused on the line where it vanishes
-    (relative to the couplings) and the quartic keeps two roots only."""
-    a = _leading_coeff(spec)
-    if abs(a) <= 1e-14 * max(spec.delta ** 2, spec.t ** 2, spec.gamma ** 2 / 4.0, 1e-300):
+def _scaled_quartic(spec: ModelSpec) -> tuple[int, float, float, float]:
+    """e, t / 2^e, gamma / 2^e and the leading coefficient
+    a = delta^2 - t^2 + gamma^2/4 of the couplings divided by 2^e, the
+    power of two at or below the largest of their magnitudes.  The
+    division is exact (none when that magnitude lies in [1, 2)) and keeps
+    the squares in range at any scale.  Refused on the line where a
+    vanishes (relative to the couplings) and the quartic keeps two roots."""
+    e = int(np.frexp(max(abs(spec.t), abs(spec.gamma), abs(spec.delta)))[1]) - 1
+    t, gamma, delta = (float(np.ldexp(x, -e)) for x in (spec.t, spec.gamma, spec.delta))
+    a = delta ** 2 - t ** 2 + gamma ** 2 / 4.0
+    if abs(a) <= 1e-14 * max(delta ** 2, t ** 2, gamma ** 2 / 4.0, 1e-300):
         raise DegenerateLeadingCoeff(
             "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, not four")
-    return a
+    return e, t, gamma, a
 
 
 def continuum_condition(roots: np.ndarray) -> np.ndarray:
@@ -108,10 +113,10 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
     the couplings) the quartic has two roots only; every caller needs
     four, so it raises DegenerateLeadingCoeff.
     """
-    validate_spec(spec)
-    a = _require_four_roots(spec)
+    e, t, gamma, a = _scaled_quartic(spec)
     E = np.asarray(E, dtype=complex).ravel()
-    Eg, c = E * spec.gamma, E * E - 4.0 * spec.t ** 2
+    Es = np.ldexp(E.view(float), -e).view(complex)  # E / 2^e, exactly
+    Eg, c = Es * gamma, Es * Es - 4.0 * t ** 2
     sq = np.sqrt(Eg ** 2 - 4.0 * a * c)
     # a x^2 + E gamma x + c = 0: the larger root from the sign of sq that
     # does not cancel against -E gamma, the smaller from the root product
@@ -119,7 +124,8 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
     plus = (Eg.conj() * sq).real < 0.0
     q = -Eg - np.where(plus, -sq, sq)
     large = q / (2.0 * a)
-    small = np.divide(2.0 * c, q, out=np.zeros_like(q), where=q != 0)  # q = 0: x = 0 twice
+    # q = 0 or subnormal (1/q overflows): both |x| <= |q| / (2 |a|) < 1e-290, taken as 0
+    small = np.divide(2.0 * c, q, out=np.zeros_like(q), where=np.abs(q) >= np.finfo(float).tiny)
     x = np.where(plus[:, None], np.stack([large, small], axis=1),
                  np.stack([small, large], axis=1))
     # roots (x +- r) / 2 of beta^2 - x beta - 1 = 0 per branch: the larger
@@ -148,7 +154,6 @@ def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarra
     the band edges at k = 0 and pi, where some end-condition denominators
     have genuine 0/0 points.
     """
-    validate_spec(spec)
     if spec.big_v != 0.0:
         raise UnsupportedPotential("band_energies is defined for V = 0 only")
     if num_k < 1:
@@ -181,10 +186,9 @@ def zak_phase(spec: ModelSpec) -> float:
     eigenvectors and the phase is 0.  The gap E+ - E- has minimum
     4 min(|t|, |delta|); at most 1e-8 it raises BandTouching.
     """
-    validate_spec(spec)
     if spec.big_v != 0.0:
         raise UnsupportedPotential("zak_phase is defined for V = 0 only")
-    _require_four_roots(spec)
+    _scaled_quartic(spec)
     if spec.delta == 0.0:
         return 0.0
     gap = 4.0 * min(abs(spec.t), abs(spec.delta))

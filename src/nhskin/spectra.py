@@ -4,7 +4,8 @@ One `np.linalg.eig` call gives the eigenvalues and right eigenvectors; a
 real matrix (the model's) runs in real arithmetic.  The left eigenvectors
 are the rows of the inverse of the right-vector matrix, so
 left_i . right_j = delta_ij up to rounding, with no matching step.
-Numerically degenerate eigenvalue clusters are handled as a block: the
+Numerically degenerate eigenvalue clusters (closer than CLUSTER_TOL
+relative to max |H|, by an exact power of two) are handled as a block: the
 left rows are re-solved against the cluster, and the cluster basis is
 rotated to diagonalize the site-position observable, which
 deterministically separates end-localized partners (a pair of zero modes
@@ -137,8 +138,9 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
         Sets the position observable that disentangles degenerate
         clusters, and is stored on the result.
 
-    Eigenvalues closer than CLUSTER_TOL are handled as one degenerate
-    cluster.
+    Eigenvalues closer than CLUSTER_TOL times 2^e, with 2^e the power of
+    two at or below max |H|, are handled as one degenerate cluster, so
+    the clusters follow the energy scale of H.
 
     Raises
     ------
@@ -180,7 +182,8 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
     i, j = i[ep], j[ep]
     parallel = np.zeros(N, dtype=bool)
     parallel[i] = parallel[j] = True
-    ci, cj = np.nonzero(np.triu(D < CLUSTER_TOL, 1))
+    cluster_tol = np.ldexp(CLUSTER_TOL, np.frexp(np.abs(H).max(initial=0.0))[1] - 1)
+    ci, cj = np.nonzero(np.triu(D < cluster_tol, 1))
     defective = []
     for idx in connected_components(N, np.concatenate([ci, i]), np.concatenate([cj, j])):
         if len(idx) < 2:

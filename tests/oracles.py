@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from nhskin.errors import BandTouching, ConfigError, NonPositiveSize
-from nhskin.model import OBC, PBC, Bonds, bonds, build_bdg, onsite_potential, validate_spec
+from nhskin.model import OBC, PBC, Bonds, bonds, build_bdg, onsite_potential
 from nhskin.spectra import eigendecompose, skin_metrics
 from nhskin.symmetry import PAULI, commutator_residual, ring_candidates, theorem_verdict
 
@@ -219,7 +219,6 @@ def boundary_determinant_scalar(spec, E: complex) -> complex:
 
 def build_single_particle(spec) -> np.ndarray:
     """The L x L hopping block h (plus the onsite potential), filled by a loop."""
-    validate_spec(spec)
     L = spec.num_sites
     h = np.zeros((L, L), dtype=complex)
     fwd = -(spec.t + spec.gamma / 2.0)
@@ -295,7 +294,6 @@ def is_reducible_dense(H: np.ndarray) -> tuple[bool, list[list[int]]]:
 
 def pbc_spectrum(spec) -> np.ndarray:
     """Eigenvalues of the closed ring, ordered by (Re, Im)."""
-    validate_spec(spec)
     if spec.boundary != PBC:
         raise ConfigError("pbc_spectrum requires boundary='pbc'")
     vals = np.linalg.eigvals(build_bdg_loop(spec))

@@ -222,6 +222,22 @@ def test_gbz_command(config_path, tmp_path):
         assert abs(float(r[4]) - 1.0) <= 1e-6
 
 
+# gamma and delta of the benchmark's seed-0 and seed-7 chains
+@pytest.mark.parametrize("gamma, delta", [(1.706653110915029, 0.603181761176121),
+                                          (1.3942996588998975, 0.36033966956980074)])
+@pytest.mark.parametrize("count", [7, 51, 200])
+def test_gbz_picks_distinct_energies(config_path, tmp_path, gamma, delta, count):
+    # E(k) = E(pi - k): the mirror grid point would repeat each energy
+    out = str(tmp_path / "out")
+    assert main(["gbz", "--config", config_path(gamma=gamma, delta=delta), "--out", out,
+                 "--num-energies", str(count)]) == 0
+    _, rows = read_csv(os.path.join(out, "gbz.csv"))
+    E = np.array([complex(float(r[0]), float(r[1])) for r in rows])
+    assert len(E) == count
+    gaps = np.abs(E[:, None] - E[None, :]) + np.eye(count)
+    assert gaps.min() > 1e-10
+
+
 def test_gbz_rejects_potential(config_path, tmp_path):
     rc = main(["gbz", "--config", config_path(V=2.0, L=39),
                "--out", str(tmp_path / "o")])
@@ -491,16 +507,23 @@ def test_config_values_must_be_json_numbers(tmp_path, capsys, key, value):
 BROKEN_CHAIN = {"t": 1.0, "gamma": 1.5, "delta": 0.5, "V": 2.0, "theta": 0.3, "L": 12}
 
 
+def run_scaled(tmp_path, name, command, *flags, factor=1.0, **model):
+    """Run a command on BROKEN_CHAIN, updated by `model`, with every energy
+    times `factor`; return its output directory."""
+    cfg = {**BROKEN_CHAIN, **model}
+    cfg.update({k: cfg[k] * factor for k in ("t", "gamma", "delta", "V")})
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 0
+    return out
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
 def test_verdicts_do_not_depend_on_the_energy_scale(tmp_path, scale):
     # the sums of squares behind the norms leave the float range here
     def run(name, command, *flags, factor=1.0):
-        cfg = tmp_path / f"{name}.json"
-        cfg.write_text(json.dumps({**BROKEN_CHAIN, **{k: BROKEN_CHAIN[k] * factor
-                                                      for k in ("t", "gamma", "delta", "V")}}))
-        out = tmp_path / name
-        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
-        return out
+        return run_scaled(tmp_path, name, command, *flags, factor=factor)
     unit = json.loads((run("unit", "symmetry") / "verdict.json").read_text())
     scaled = json.loads((run("scaled", "symmetry", factor=scale) / "verdict.json").read_text())
     assert unit["kind"] == scaled["kind"] == "nhse_expected"
@@ -512,6 +535,26 @@ def test_verdicts_do_not_depend_on_the_energy_scale(tmp_path, scale):
     assert [r[3] for r in scaled] == [r[3] for r in unit]
     assert [float(r[2]) for r in scaled] == pytest.approx([float(r[2]) for r in unit],
                                                           rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_spectrum_classes_do_not_depend_on_the_energy_scale(tmp_path, scale):
+    # an absolute cluster tolerance joined every eigenvalue at 1e-170 into
+    # one cluster, and the position rotation mixed states of both ends
+    unit, scaled = (read_csv(run_scaled(tmp_path, name, "spectrum", factor=f, L=24)
+                             / "spectrum.csv")[1] for name, f in (("unit", 1.0), ("x", scale)))
+    assert [r[3] for r in scaled] == [r[3] for r in unit]
+    assert [float(r[4]) for r in scaled] == pytest.approx([float(r[4]) for r in unit], abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_gbz_moduli_do_not_depend_on_the_energy_scale(tmp_path, scale):
+    # the quartic's squared couplings overflowed (a traceback) at 1e160 and
+    # underflowed (a false degenerate-line refusal) at 1e-170
+    unit, scaled = (np.array([r[2:6] for r in read_csv(
+        run_scaled(tmp_path, name, "gbz", "--num-energies", "20", factor=f, V=0.0)
+        / "gbz.csv")[1]], dtype=float) for name, f in (("unit", 1.0), ("x", scale)))
+    assert scaled == pytest.approx(unit, rel=1e-12)
 
 
 def test_missing_config_io_exit_code(tmp_path):
@@ -526,6 +569,18 @@ def test_flag_overrides_config(config_path, tmp_path):
     assert rc == 0
     _, rows = read_csv(os.path.join(out, "spectrum.csv"))
     assert len(rows) == 20
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"boundary": "pbc", "V": 2.0, "L": 10}, ["--L", "12"]),  # the ring needs 3 | L
+    ({"t": "2"}, ["--t", "1"]),
+])
+def test_flag_fixes_an_invalid_config(config_path, tmp_path, config, flags):
+    # the config and the flags are merged before the spec is checked
+    assert main(["symmetry", "--config", config_path(**config), "--out", str(tmp_path / "o"),
+                 *flags]) == 0
+    assert main(["symmetry", "--config", config_path(**config),
+                 "--out", str(tmp_path / "o")]) == 1
 
 
 DEGENERATE_LINE = ["--t", "1.25", "--gamma", "1.5", "--delta", "1"]

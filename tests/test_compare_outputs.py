@@ -1,0 +1,29 @@
+"""The output-identity tool of tools/compare_outputs.py, at tiny sizes."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import compare_outputs  # noqa: E402
+
+
+def test_a_tree_against_itself_has_no_differences(tmp_path):
+    first, second = (compare_outputs.run_tree(ROOT, tmp_path / "run", [0], "tiny")
+                     for _ in range(2))
+    assert len(first) == 11  # 3 + 4 + 4 invocations of the three workloads at tiny sizes
+    assert all(out["exit code"] == 0 and len(out) > 3 for out in first.values())
+    assert compare_outputs.differences(first, second) == []
+    # a changed byte, a new file and a changed exit code are each reported
+    key = (0, "nonbloch_loop", "gbz")
+    csv = second[key]["gbz.csv"]
+    lines = len(csv.splitlines())
+    changed = {**second, key: {**second[key], "gbz.csv": b"R" + csv[1:],
+                               "extra.csv": b"", "exit code": 2}}
+    assert compare_outputs.differences(first, changed) == [
+        "seed 0 nonbloch_loop gbz: exit code differs, 0 vs 2",
+        "seed 0 nonbloch_loop gbz: extra.csv new in the change tree",
+        "seed 0 nonbloch_loop gbz: gbz.csv differs, first at line 1 "
+        f"({lines} vs {lines} lines)",
+    ]

@@ -1,36 +1,93 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nhskin import Bonds, ModelSpec, OBC, PBC, bonds, build_bdg, validate_spec
-from nhskin.errors import NonFinite, NonPositiveSize, PbcPeriodMismatch
-from nhskin.model import onsite_potential, theta_orbits
+from nhskin import Bonds, ModelSpec, OBC, PBC, band_energies, bonds, build_bdg, solve_beta
+from nhskin.errors import (ConfigError, DegenerateLeadingCoeff, NonFinite, NonPositiveSize,
+                           PbcPeriodMismatch)
+from nhskin.model import FIELDS, MAX_ENERGY, MAX_SITES, onsite_potential, theta_orbits
 from oracles import build_bdg_loop
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
 
 def test_validate_accepts_reference_chain():
-    assert validate_spec(REFERENCE) is REFERENCE
+    # stored normalised: floats for the numbers, an int for L
+    spec = ModelSpec(t=1, gamma=1.5, delta=0.5, num_sites=100.0, boundary="OBC")
+    assert spec == REFERENCE and spec.to_dict() == REFERENCE.to_dict()
+    assert type(spec.t) is float and type(spec.num_sites) is int and spec.boundary == OBC
 
 
 def test_validate_rejects_degenerate_chain():
     with pytest.raises(NonPositiveSize):
-        validate_spec(REFERENCE.replace(L=1))
+        REFERENCE.replace(L=1)
 
 
 def test_validate_rejects_pbc_period_mismatch():
-    bad = REFERENCE.replace(V=2.0, boundary=PBC)  # 100 % 3 != 0
     with pytest.raises(PbcPeriodMismatch):
-        validate_spec(bad)
-    validate_spec(bad.replace(L=99))  # multiple of 3 is fine
+        REFERENCE.replace(V=2.0, boundary=PBC)  # 100 % 3 != 0
+    REFERENCE.replace(V=2.0, boundary=PBC, L=99)  # multiple of 3 is fine
 
 
 def test_validate_rejects_non_finite():
     with pytest.raises(NonFinite):
-        validate_spec(REFERENCE.replace(gamma=float("nan")))
+        REFERENCE.replace(gamma=float("nan"))
     with pytest.raises(NonFinite):
-        validate_spec(REFERENCE.replace(t=float("inf")))
+        ModelSpec(t=float("inf"))
+
+
+def test_bad_values_are_config_errors_at_construction():
+    # both raised numpy or Python TypeErrors inside bonds before
+    with pytest.raises(ConfigError, match="t must be a number"):
+        ModelSpec(t="2")
+    with pytest.raises(ConfigError, match="L must be an integer"):
+        ModelSpec(num_sites=96.5)
+    with pytest.raises(ConfigError, match=r"\|V\| must be <="):
+        REFERENCE.replace(V=-2 * MAX_ENERGY)
+    with pytest.raises(ConfigError, match="theta is out of range"):
+        ModelSpec.from_dict({"theta": 10 ** 400})
+
+
+# Values of every kind a config file or a library caller can hand over.
+ODD = st.sampled_from([None, True, False, "2", "", "obc", "PBC", 10 ** 400, -10 ** 400,
+                       float("nan"), float("inf"), -float("inf"), [1.0], 1j])
+NUMBER = st.one_of(st.floats(), st.integers(-10, 10), st.sampled_from(
+    [MAX_ENERGY, -MAX_ENERGY, 2 * MAX_ENERGY, 1e160, 1e-170, 5e-324]), ODD)
+SITES = st.one_of(st.integers(-2, 40), st.floats(-3.0, 50.0), st.sampled_from(
+    [MAX_SITES, MAX_SITES + 1, 12.0, 12.5, np.int64(12), np.float64(9.0)]), ODD)
+BOUNDARY = st.one_of(st.sampled_from([OBC, PBC, "OBC", "Pbc", " obc", "pbc\n", "ring"]),
+                     st.text(max_size=3), ODD)
+CONFIGS = st.fixed_dictionaries({}, optional={
+    key: SITES if key == "L" else BOUNDARY if key == "boundary" else NUMBER
+    for key in FIELDS})
+
+
+@settings(max_examples=400)
+@given(how=st.sampled_from(["init", "replace", "from_dict"]), config=CONFIGS)
+def test_every_value_gives_a_working_spec_or_a_config_error(how, config):
+    try:
+        if how == "init":
+            spec = ModelSpec(**{FIELDS[k]: v for k, v in config.items()})
+        elif how == "replace":
+            spec = REFERENCE.replace(**config)
+        else:
+            spec = ModelSpec.from_dict(config)
+    except ConfigError:
+        return
+    assert [type(x) for x in spec.to_dict().values()] == [float] * 5 + [int, str]
+    b = bonds(spec)
+    assert np.isfinite(b.vals).all() and b.dim == 2 * spec.num_sites
+    if spec.big_v == 0.0:
+        try:
+            q = solve_beta(spec, band_energies(spec, 4))
+        except DegenerateLeadingCoeff:  # only on the line delta^2 - t^2 + gamma^2/4 = 0
+            t, g, d = (Fraction(x) for x in (spec.t, spec.gamma, spec.delta))
+            assert abs(d * d - t * t + g * g / 4) <= Fraction(2, 10 ** 14) * max(
+                d * d, t * t, g * g / 4)
+            return
+        assert np.isfinite(q.sorted_moduli).all()
 
 
 def test_dict_round_trip():
