@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import SingularDenominator
 from .model import ModelSpec
-from .nonbloch import solve_beta
+from .nonbloch import solve_beta, unit_couplings, unit_energies
 
 # Columns of the condition matrix, as indices into BRANCH_ORDER: 1+, 1-, 2-, 2+.
 COLUMN_ORDER = np.array([0, 2, 3, 1])
@@ -58,20 +58,23 @@ def boundary_coeffs(spec: ModelSpec, E, roots: np.ndarray) -> np.ndarray:
     """End-condition coefficients: an (n, 4, k) array whose [:, :, j] is
     (A_j, B_j, C_j, D_j) of roots[:, j], for n energies E and k roots each.
 
+    Each is linear in the energies and is taken at unit scale (couplings
+    and E divided by the 2^e of `unit_couplings`), in range at any scale.
     Raises SingularDenominator when the amplitude-ratio denominator of
     some root is within 1e-12 (relative to the energy scale) of zero.
     """
-    t, g, d = spec.t, spec.gamma, spec.delta
-    E = np.asarray(E, dtype=complex).reshape(-1, 1)
+    e, t, g, d = unit_couplings(spec)
+    given = np.asarray(E, dtype=complex).ravel()
+    E = unit_energies(given, e)[:, None]
     b = np.asarray(roots, dtype=complex)
-    scale = np.maximum(np.abs(E), max(abs(t), abs(g), abs(d), 1.0))
+    scale = np.maximum(np.abs(E), max(abs(t), abs(g), abs(d)))
     bi = 1.0 / b
     denom = E - (t + g / 2.0) * bi - (t - g / 2.0) * b
     bad = np.argwhere(np.abs(denom) <= _DENOM_FLOOR * scale)
     if bad.size:
         i, j = bad[0]
         raise SingularDenominator(f"amplitude-ratio denominator ~ 0 for root "
-                                  f"{complex(b[i, j])} at E = {complex(E[i, 0])}")
+                                  f"{complex(b[i, j])} at E = {complex(given[i])}")
     r = d * (b - bi) / denom
     A = E * b + (t + g / 2.0) * b * b + d * b * b * r
     B = r * (E * b - (t - g / 2.0) * b * b) - d * b * b

@@ -22,8 +22,9 @@ every member of an orbit takes its representative's accumulation,
 skin_detected and conditioning, and its skew times the orbit sign (-1
 where the mirror M maps it).  zak writes the closed-form phase of
 `nonbloch.zak_phase`, the same for both bands; its --grid is range
-checked but sets nothing.  gbz, zak and boundary refuse the line
-delta^2 - t^2 + gamma^2/4 = 0 with the one message of `solve_beta`.
+checked but sets nothing.  gbz, zak and boundary refuse V != 0 and the
+line delta^2 - t^2 + gamma^2/4 = 0 with the one message each of
+`nonbloch.unit_couplings` and `solve_beta`, boundary before its eigensolve.
 Sizes are capped before any work starts (MAX_SITES for L and --L-check,
 MAX_GRID, MAX_STEPS, MAX_ENERGIES).
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -46,9 +46,9 @@ import numpy as np
 from . import svgplot
 from .boundary import boundary_determinant, continuum_ratio
 from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalError,
-                     SelectionOutOfRange, UnsupportedPotential)
+                     SelectionOutOfRange)
 from .model import MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, theta_orbits
-from .nonbloch import band_energies, gbz_modulus_report, zak_phase
+from .nonbloch import band_energies, gbz_modulus_report, leading_coeff, unit_couplings, zak_phase
 from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
                       KAPPA_EPS_BOUND, classify_states, eigendecompose, skin_metrics)
 from .symmetry import (DEFAULT_TOL, commutator_residual, default_candidates,
@@ -90,11 +90,7 @@ class Output:
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return FMT % x
+    return FMT % x  # also integers (exact below 1e17) and nan
 
 
 def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
@@ -233,14 +229,15 @@ def cmd_symmetry(spec: ModelSpec, args) -> Output:
 
 
 def cmd_gbz(spec: ModelSpec, args) -> Output:
-    if spec.big_v != 0.0:
-        raise UnsupportedPotential("gbz requires V = 0")
-    # bulk band energies, deterministically sampled by Re-E quantiles; on an
-    # even grid of n points E(k_j) = E(k_(n/2 - j)) (k -> pi - k), so only
-    # the first grid point of each mirror pair is a candidate
-    n = max(args.num_energies + args.num_energies % 2, 8)
+    # bulk band energies, deterministically sampled by Re-E quantiles.  On an
+    # even grid E(k) = E(pi - k), and at gamma = 0 also E(k) = E(-k): only the
+    # first grid point of each orbit, k in [0, pi/2] on a twice finer grid at
+    # gamma = 0, is a candidate
+    even = spec.gamma == 0.0
+    n = max(args.num_energies + args.num_energies % 2, 8) * (2 if even else 1)
     j = np.arange(n)
-    cand = band_energies(spec, n).reshape(n, 2)[j <= (n // 2 - j) % n].ravel()
+    first = j <= (n // 4 if even else (n // 2 - j) % n)
+    cand = band_energies(spec, n).reshape(n, 2)[first].ravel()
     cand = cand[np.lexsort((cand.imag, cand.real))]
     picks = np.unique(np.round(np.linspace(0, len(cand) - 1, args.num_energies)).astype(int))
     q = gbz_modulus_report(spec, cand[picks])
@@ -290,8 +287,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
 
 
 def cmd_boundary(spec: ModelSpec, args) -> Output:
-    if spec.big_v != 0.0:
-        raise UnsupportedPotential("boundary requires V = 0")
+    leading_coeff(*unit_couplings(spec)[1:])  # both refusals before the O(L^3) eigvals
     L = args.L_check
     chain = spec.replace(L=L, boundary=OBC)
     evals = np.linalg.eigvals(build_bdg(chain))

@@ -23,9 +23,10 @@ and `zak_phase` gives their geometric phase around the circle, both
 from closed forms.  `solve_beta` takes an array of energies and returns
 an (n, 4) root array; on the line delta^2 - t^2 + gamma^2/4 = 0, where
 the quartic keeps two roots only, `solve_beta` and `zak_phase` refuse.
-The roots depend only on the ratios of E, t, gamma and delta, so both
-divide the couplings (and `solve_beta` the energies) by a common power
-of two first: no square leaves double range at any coupling scale.
+Every non-Bloch and boundary function first calls `unit_couplings`,
+which refuses V != 0 and divides the couplings (and the energies) by a
+power of two: the roots depend only on their ratios, and no square
+overflows and no floor moves at any coupling scale.
 """
 
 from __future__ import annotations
@@ -61,26 +62,31 @@ class BetaQuartet:
     continuum_case: np.ndarray
     mid_modulus_gap: np.ndarray
 
-    @property
-    def mid_deviation(self) -> np.ndarray:
-        """GBZ deviation max(|m2 - 1|, |m3 - 1|) per energy."""
-        return np.abs(self.sorted_moduli[:, 1:3] - 1.0).max(axis=1)
 
-
-def _scaled_quartic(spec: ModelSpec) -> tuple[int, float, float, float]:
-    """e, t / 2^e, gamma / 2^e and the leading coefficient
-    a = delta^2 - t^2 + gamma^2/4 of the couplings divided by 2^e, the
-    power of two at or below the largest of their magnitudes.  The
-    division is exact (none when that magnitude lies in [1, 2)) and keeps
-    the squares in range at any scale.  Refused on the line where a
-    vanishes (relative to the couplings) and the quartic keeps two roots."""
+def unit_couplings(spec: ModelSpec) -> tuple[int, float, float, float]:
+    """The domain gate of every non-Bloch and boundary function: refuses
+    V != 0, and returns e, t / 2^e, gamma / 2^e and delta / 2^e, with 2^e
+    the power of two at or below the largest coupling magnitude (exact;
+    e = 0 when that magnitude lies in [1, 2))."""
+    if spec.big_v != 0.0:
+        raise UnsupportedPotential("the decay-factor and boundary analysis require V = 0")
     e = int(np.frexp(max(abs(spec.t), abs(spec.gamma), abs(spec.delta)))[1]) - 1
-    t, gamma, delta = (float(np.ldexp(x, -e)) for x in (spec.t, spec.gamma, spec.delta))
+    return (e, *(float(np.ldexp(x, -e)) for x in (spec.t, spec.gamma, spec.delta)))
+
+
+def unit_energies(E, e: int) -> np.ndarray:
+    """E / 2^e, exactly, as a flat complex array."""
+    return np.ldexp(np.asarray(E, dtype=complex).ravel().view(float), -e).view(complex)
+
+
+def leading_coeff(t: float, gamma: float, delta: float) -> float:
+    """a = delta^2 - t^2 + gamma^2/4 of unit-scale couplings, refused where
+    it vanishes (relative to them) and the quartic keeps two roots."""
     a = delta ** 2 - t ** 2 + gamma ** 2 / 4.0
     if abs(a) <= 1e-14 * max(delta ** 2, t ** 2, gamma ** 2 / 4.0, 1e-300):
         raise DegenerateLeadingCoeff(
             "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, not four")
-    return e, t, gamma, a
+    return a
 
 
 def continuum_condition(roots: np.ndarray) -> np.ndarray:
@@ -108,14 +114,14 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
     beta^2 - x beta - 1 = 0 per branch.  Each quadratic's smaller root
     comes from its root product, not from a difference that cancels, so
     the middle moduli stay on the unit circle at band energies (to ~3e-8)
-    also 1e-13 next to the line below.  The pair product -1 is exact by
-    construction.  On the line delta^2 - t^2 + gamma^2/4 = 0 (relative to
-    the couplings) the quartic has two roots only; every caller needs
-    four, so it raises DegenerateLeadingCoeff.
+    also 1e-13 next to the degenerate line.  The pair product -1 is exact
+    by construction.  Every caller needs four roots, so on the line of
+    `leading_coeff` it raises DegenerateLeadingCoeff.
     """
-    e, t, gamma, a = _scaled_quartic(spec)
+    e, t, gamma, delta = unit_couplings(spec)
+    a = leading_coeff(t, gamma, delta)
     E = np.asarray(E, dtype=complex).ravel()
-    Es = np.ldexp(E.view(float), -e).view(complex)  # E / 2^e, exactly
+    Es = unit_energies(E, e)
     Eg, c = Es * gamma, Es * Es - 4.0 * t ** 2
     sq = np.sqrt(Eg ** 2 - 4.0 * a * c)
     # a x^2 + E gamma x + c = 0: the larger root from the sign of sq that
@@ -154,8 +160,7 @@ def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarra
     the band edges at k = 0 and pi, where some end-condition denominators
     have genuine 0/0 points.
     """
-    if spec.big_v != 0.0:
-        raise UnsupportedPotential("band_energies is defined for V = 0 only")
+    unit_couplings(spec)
     if num_k < 1:
         raise ConfigError("num_k must be positive")
     k = 2.0 * np.pi * (np.arange(num_k) + offset) / num_k
@@ -166,9 +171,6 @@ def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarra
 
 def gbz_modulus_report(spec: ModelSpec, energies) -> BetaQuartet:
     """The quartet at each energy, for the GBZ table."""
-    energies = np.asarray(energies, dtype=complex).ravel()
-    if not energies.size:
-        raise ConfigError("energies must be nonempty")
     return solve_beta(spec, energies)
 
 
@@ -184,14 +186,13 @@ def zak_phase(spec: ModelSpec) -> float:
     discretization, so the phase is pi (the phase with protected end
     modes).  With delta = 0 the matrix is diagonal with constant
     eigenvectors and the phase is 0.  The gap E+ - E- has minimum
-    4 min(|t|, |delta|); at most 1e-8 it raises BandTouching.
+    4 min(|t|, |delta|); at most 1e-8 at unit scale it raises BandTouching.
     """
-    if spec.big_v != 0.0:
-        raise UnsupportedPotential("zak_phase is defined for V = 0 only")
-    _scaled_quartic(spec)
-    if spec.delta == 0.0:
+    e, t, gamma, delta = unit_couplings(spec)
+    leading_coeff(t, gamma, delta)
+    if delta == 0.0:
         return 0.0
-    gap = 4.0 * min(abs(spec.t), abs(spec.delta))
+    gap = 4.0 * min(abs(t), abs(delta))
     if gap <= 1e-8:
-        raise BandTouching(f"minimum band gap {gap:.2e} on the unit circle")
+        raise BandTouching(f"minimum band gap {np.ldexp(gap, e):.2e} on the unit circle")
     return float(np.pi)

@@ -222,12 +222,15 @@ def test_gbz_command(config_path, tmp_path):
         assert abs(float(r[4]) - 1.0) <= 1e-6
 
 
-# gamma and delta of the benchmark's seed-0 and seed-7 chains
+# gamma and delta of the benchmark's seed-0 and seed-7 chains, and a
+# reciprocal chain, whose bands are also even in k
 @pytest.mark.parametrize("gamma, delta", [(1.706653110915029, 0.603181761176121),
-                                          (1.3942996588998975, 0.36033966956980074)])
+                                          (1.3942996588998975, 0.36033966956980074),
+                                          (0.0, 0.5)])
 @pytest.mark.parametrize("count", [7, 51, 200])
 def test_gbz_picks_distinct_energies(config_path, tmp_path, gamma, delta, count):
-    # E(k) = E(pi - k): the mirror grid point would repeat each energy
+    # E(k) = E(pi - k), and at gamma = 0 E(k) = E(-k): the mirror grid
+    # points would repeat energies
     out = str(tmp_path / "out")
     assert main(["gbz", "--config", config_path(gamma=gamma, delta=delta), "--out", out,
                  "--num-energies", str(count)]) == 0
@@ -557,6 +560,32 @@ def test_gbz_moduli_do_not_depend_on_the_energy_scale(tmp_path, scale):
     assert scaled == pytest.approx(unit, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_boundary_and_zak_do_not_depend_on_the_energy_scale(tmp_path, scale):
+    # an absolute denominator floor refused the chain at 1e-170, and the
+    # products of four end coefficients overflowed to NaN at 1e160
+    unit, scaled = (np.array(read_csv(run_scaled(
+        tmp_path, name, "boundary", "--L-check", "10", factor=f, V=0.0)
+        / "boundary.csv")[1], dtype=float) for name, f in (("unit", 1.0), ("x", scale)))
+    assert scaled[:, 3].max() <= 1e-10
+    assert scaled[:, 4:] == pytest.approx(unit[:, 4:], rel=1e-9)
+    zak = run_scaled(tmp_path, "zak", "zak", factor=scale, V=0.0) / "zak.json"
+    assert json.loads(zak.read_text())["phase"] == math.pi
+
+
+def test_boundary_refuses_before_the_eigensolve(config_path, tmp_path, capsys, monkeypatch):
+    # the 800 x 800 eigensolve of --L-check 400 used to run first
+    built = []
+    monkeypatch.setattr(cli, "build_bdg", lambda *a, **k: built.append(1))
+    rc = main(["boundary", "--config", config_path(), "--out", str(tmp_path / "o"),
+               "--L-check", "400", *DEGENERATE_LINE])
+    with pytest.raises(DegenerateLeadingCoeff) as refused:
+        solve_beta(ModelSpec(t=1.25, gamma=1.5, delta=1.0, num_sites=10), 0.0)
+    assert rc == 2
+    assert capsys.readouterr().err == f"numerical error: {refused.value}\n"
+    assert not built
+
+
 def test_missing_config_io_exit_code(tmp_path):
     rc = main(["spectrum", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "o")])
@@ -610,6 +639,10 @@ DEGENERATE_LINE = ["--t", "1.25", "--gamma", "1.5", "--delta", "1"]
     (["gbz", *DEGENERATE_LINE], 2),
     (["zak", *DEGENERATE_LINE], 2),
     (["boundary", "--L-check", "10", *DEGENERATE_LINE], 2),
+    # the decay-factor analysis needs the translation-invariant chain
+    (["gbz", "--V", "2"], 1),
+    (["zak", "--V", "2"], 1),
+    (["boundary", "--V", "2"], 1),
     # every size cap, one past it
     (["spectrum", "--L", str(MAX_SITES + 1)], 1),
     (["boundary", "--L-check", str(MAX_SITES + 1)], 1),

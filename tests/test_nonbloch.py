@@ -5,8 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 from nhskin import (
     ModelSpec,
     band_energies,
+    boundary_determinant,
     build_bdg,
     continuum_condition,
+    continuum_ratio,
     solve_beta,
     zak_phase,
 )
@@ -52,6 +54,21 @@ def test_band_energies_guards():
         band_energies(REFERENCE.replace(V=2.0), 8)
     with pytest.raises(ConfigError, match="num_k must be positive"):
         band_energies(REFERENCE, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec, E: band_energies(spec, 8),
+    solve_beta,
+    lambda spec, E: zak_phase(spec),
+    boundary_determinant,
+    continuum_ratio,
+], ids=["band_energies", "solve_beta", "zak_phase", "boundary_determinant", "continuum_ratio"])
+def test_every_nonbloch_function_refuses_a_potential(call):
+    # at the V = 2 chain's own eigenvalues the V = 0 answer would look plausible
+    spec = REFERENCE.replace(V=2.0, L=10)
+    E = np.linalg.eigvals(build_bdg(spec))
+    with pytest.raises(UnsupportedPotential, match="require V = 0"):
+        call(spec, E)
 
 
 def test_char_poly_trivial_zero():
@@ -148,7 +165,7 @@ def test_middle_moduli_hold_next_to_the_degenerate_line(off):
     # smaller beta of each branch
     spec = ModelSpec(t=1.0, gamma=1.0, delta=np.sqrt(0.75) + off, num_sites=10)
     q = solve_beta(spec, band_energies(spec, 50, 0.5))
-    assert q.mid_deviation.max() <= 1e-7
+    assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= 1e-7
 
 
 def test_continuum_condition_on_band_energies():
@@ -171,7 +188,7 @@ def test_continuum_condition_hermitian_limit():
 
 def test_gbz_report_band_energies_on_unit_circle():
     q = solve_beta(REFERENCE, band_energies(REFERENCE, 25))
-    assert q.mid_deviation.max() <= 1e-6
+    assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= 1e-6
 
 
 def test_gbz_finite_chain_deviation_shrinks_with_length():
@@ -180,7 +197,8 @@ def test_gbz_finite_chain_deviation_shrinks_with_length():
     devs = {}
     for L in (50, 100):
         vals = np.linalg.eigvals(build_bdg(REFERENCE.replace(L=L)))
-        devs[L] = solve_beta(REFERENCE, vals[np.abs(vals) > 1e-6]).mid_deviation.max()
+        m = solve_beta(REFERENCE, vals[np.abs(vals) > 1e-6]).sorted_moduli
+        devs[L] = np.abs(m[:, 1:3] - 1.0).max()
     assert 0.3 <= devs[100] / devs[50] <= 0.7
     assert devs[100] < 0.05
 
@@ -360,7 +378,7 @@ def test_middle_moduli_on_unit_circle_at_band_energies(spec, num_k):
     # next to a band edge the roots nearly coincide, so they hold only to
     # about sqrt(eps); MID_EQUAL_RTOL is the code's own allowance for it
     q = solve_beta(spec, band_energies(spec, num_k, offset=0.5))
-    assert q.mid_deviation.max() <= MID_EQUAL_RTOL
+    assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= MID_EQUAL_RTOL
     assert np.isin(q.continuum_case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
 
 
