@@ -12,8 +12,10 @@ sweep-theta warn on stderr about ill-conditioned eigenvalues), and maps
 errors to exit codes.  Output is deterministic: identical configuration
 gives byte-identical files.  symmetry tests the 8 open-chain candidates,
 and on a ring whose length is a multiple of 6 then the 6 ring centers
-of `ring_candidates`.  sweep-theta tests the symmetry on one
-RING_SITES-site ring at every step, whatever L is; skin metrics come from
+of `ring_candidates`.  sweep-theta tests the symmetry on a
+RING_SITES-site ring, whatever L is, once per class {+-theta + k pi / 3}
+of exactly similar rings (see RING_SITES); every step takes the verdict
+and residual of the first step of its class.  Skin metrics come from
 the open chain of length L, solved once per orbit of `model.theta_orbits`:
 H(theta + pi) = -G H(theta) G and H(-2 pi (L+1)/3 - theta) = M H(theta) M^T,
 with G = diag((-1)^n) on both Nambu halves and M = G tau_z tau_x (P + P)
@@ -65,7 +67,11 @@ MAX_ENERGIES = 10 ** 5
 # sweep-theta's symmetry ring: two 6-site cells, 6 being the least common
 # multiple of the staggering period 2 and the potential period 3.  The
 # ring is translation invariant with period 6, so its commutator residual
-# does not depend on the number of cells.
+# does not depend on the number of cells.  The ring at theta + 2 pi / 3 is
+# the ring at theta translated by one site, the ring at theta + pi is
+# -G H(theta) G with G = diag((-1)^n), and the ring at -theta is a signed
+# mirror image of it; each map sends `ring_candidates` onto itself, so
+# the verdict is the same on the whole class {+-theta + k pi / 3}.
 RING_SITES = 12
 
 # Model flags shared by every command, with their value types.
@@ -256,7 +262,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     L, ell = spec.num_sites, resolve_ell(args, spec.num_sites)
     # one eigensolve per orbit of the exact theta similarities; every other
     # member reuses its representative's skin report and conditioning
-    solved, rows, flagged, kappa = {}, [], [], 0.0
+    solved, tested, rows, flagged, kappa = {}, {}, [], [], 0.0
     for s, (rep, sign) in enumerate(theta_orbits(L, args.steps)):
         theta = 2.0 * np.pi * s / args.steps
         if rep == s:
@@ -268,13 +274,17 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
             flagged.append(str(s))
             kappa = max(kappa, worst)
         # the symmetry test runs on the periodic ring, where shifted
-        # reflection centers are legitimate lattice maps
-        H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=RING_SITES))
-        verdict = theorem_verdict(H_ring, candidates, args.tol)
-        residual = verdict.commutator_residual
-        if residual is None:
-            residual = min(commutator_residual(H_ring, c) for c in candidates)
-        rows.append((s, theta, residual, verdict.kind, sign * report.skew,
+        # reflection centers are legitimate lattice maps; one ring per class
+        # {+-theta + k pi / 3} (see RING_SITES)
+        key = min(6 * s % args.steps, -6 * s % args.steps)
+        if key not in tested:
+            H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=RING_SITES))
+            verdict = theorem_verdict(H_ring, candidates, args.tol)
+            residual = verdict.commutator_residual
+            if residual is None:
+                residual = min(commutator_residual(H_ring, c) for c in candidates)
+            tested[key] = (residual, verdict.kind)
+        rows.append((s, theta, *tested[key], sign * report.skew,
                      report.accumulation, report.skin_detected))
     plotted = [(r[1], max(r[2], 1e-18), r[5]) for r in rows]
     figure = _scatter(plotted, 0, ("commutator residual", "theta", "residual", [1]),

@@ -3,7 +3,13 @@
 One `np.linalg.eig` call gives the eigenvalues and right eigenvectors; a
 real matrix (the model's) runs in real arithmetic.  The left eigenvectors
 are the rows of the inverse of the right-vector matrix, so
-left_i . right_j = delta_ij up to rounding, with no matching step.
+left_i . right_j = delta_ij up to rounding, with no matching step.  For a
+real matrix that inverse is taken in real arithmetic, of the solver's real
+basis in which each conjugate pair is the real and imaginary part of one
+vector (`left_vectors`).  Close eigenvalue pairs are found by sorting
+(`close_pairs`), not from an N x N distance matrix, and the norms and
+densities take no complex N x N temporaries, so the pass peaks within one
+N x N float array of `np.linalg.eig` itself.
 Numerically degenerate eigenvalue clusters (closer than CLUSTER_TOL
 relative to max |H|, by an exact power of two) are handled as a block: the
 left rows are re-solved against the cluster, and the cluster basis is
@@ -71,6 +77,8 @@ class EigenSystem:
     """Eigenvalues with biorthogonal right (columns) and left (rows) vectors
     of a chain of `num_sites` sites.
 
+    `left` is the inverse of `right` (from the solver's real basis when H
+    is real; see `left_vectors`), re-solved inside degenerate clusters.
     `condition[i]` is kappa_i = |l_i| |r_i| / |l_i . r_i|, the eigenvalue
     condition number (inf where the left row overflowed).  `defective`
     lists the indices of exceptional points: clusters with near-parallel
@@ -163,27 +171,23 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
         w, right = np.linalg.eig(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    w, right = w.astype(complex), right.astype(complex)
-    # at an exceptional point the basis is (nearly) singular and its left
-    # rows blow up or turn NaN; the cluster check below reports it as defective
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            left = np.linalg.inv(right)
-        except np.linalg.LinAlgError:
-            left = np.full_like(right, np.nan)
+    # a real H gives its conjugate pairs as consecutive columns, Im E > 0 first
+    pairs = np.flatnonzero(w.imag > 0.0) if np.isrealobj(H) else np.empty(0, dtype=int)
+    left = left_vectors(right, pairs)
+    w, right = w.astype(complex, copy=False), right.astype(complex, copy=False)
 
     pos = np.tile(np.arange(1.0, num_sites + 1), N // num_sites)
 
-    D = np.abs(w[:, None] - w[None, :])
     # two unit right vectors this parallel have |E_i - E_j| below
     # 2 |H| sqrt(2 tol) / (1 - tol), so only such close pairs are compared
-    i, j = np.nonzero(np.triu(D <= 3.0 * np.sqrt(EP_OVERLAP_TOL) * scaled_norm(H), 1))
+    i, j = close_pairs(w, 3.0 * np.sqrt(EP_OVERLAP_TOL) * scaled_norm(H))
     ep = np.abs(np.einsum("ki,ki->i", right[:, i].conj(), right[:, j])) > 1.0 - EP_OVERLAP_TOL
     i, j = i[ep], j[ep]
     parallel = np.zeros(N, dtype=bool)
     parallel[i] = parallel[j] = True
     cluster_tol = np.ldexp(CLUSTER_TOL, np.frexp(np.abs(H).max(initial=0.0))[1] - 1)
-    ci, cj = np.nonzero(np.triu(D < cluster_tol, 1))
+    # |E_i - E_j| < cluster_tol, as <= the next double below it
+    ci, cj = close_pairs(w, np.nextafter(cluster_tol, -np.inf))
     defective = []
     for idx in connected_components(N, np.concatenate([ci, i]), np.concatenate([cj, j])):
         if len(idx) < 2:
@@ -217,13 +221,70 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
         left[idx, :] = Lc
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        condition = (np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=0)
-                     / np.abs(np.einsum("ij,ji->i", left, right)))
+        # squared norms summed over the real and imaginary views: no N x N temporaries
+        left2 = np.einsum("ij,ij->i", left.real, left.real) + np.einsum(
+            "ij,ij->i", left.imag, left.imag)
+        right2 = np.einsum("ij,ij->j", right.real, right.real) + np.einsum(
+            "ij,ij->j", right.imag, right.imag)
+        condition = np.sqrt(left2) * np.sqrt(right2) / np.abs(np.einsum("ij,ji->i", left, right))
     condition[np.isnan(condition)] = np.inf
     if not defective and not np.isfinite(condition).all():
         raise ConvergenceFailure("eigenvector basis is numerically singular")
     return EigenSystem(values=w, right=right, left=left, condition=condition,
                        num_sites=num_sites, defective=defective)
+
+
+def left_vectors(right: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The rows of inv(right), complex, or NaN where it is singular.
+
+    `pairs` lists the first columns j of the conjugate pairs that LAPACK's
+    real xGEEV returns: right[:, j + 1] = conj(right[:, j]).  The real
+    basis Q of the solver (column j Re v, column j + 1 Im v) is inverted in
+    real arithmetic, and a pair's left rows are (p_j -+ i p_{j+1}) / 2 from
+    the rows p of inv(Q).  Q is `right`'s real part with Im v written over
+    each column j + 1 while it is inverted, then `right` is restored
+    exactly; with no pairs, Q is `right` itself.
+    """
+    Q = right.real if len(pairs) else right
+    blocks = [pairs[k:k + 32] for k in range(0, len(pairs), 32)]  # bound the temporaries
+    for j in blocks:
+        Q[:, j + 1] = right.imag[:, j]
+    # at an exceptional point the basis is (nearly) singular and its left
+    # rows blow up or turn NaN; eigendecompose reports such a cluster
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            left = np.linalg.inv(Q).astype(complex, copy=False)
+        except np.linalg.LinAlgError:
+            left = np.full(Q.shape, np.nan, dtype=complex)
+    for j in blocks:
+        right[:, j + 1] = right[:, j].conj()
+        left.imag[j] = -0.5 * left.real[j + 1]  # exact halvings
+        left.real[j] *= 0.5
+        left[j + 1] = left[j].conj()
+    return left
+
+
+def close_pairs(w: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs i < j with |w_i - w_j| <= radius, ordered by (i, j).
+
+    The values are sorted along the longer side of their bounding box; only
+    neighbours within twice the radius along it are candidates (|x_i - x_j|
+    <= |w_i - w_j|, and the factor two absorbs the rounding of the window
+    edge), and the candidates pass the same |w_i - w_j| <= radius test that
+    a dense distance matrix would.
+    """
+    x = w.imag if len(w) and np.ptp(w.imag) > np.ptp(w.real) else w.real
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    stop = np.searchsorted(xs, xs + 2.0 * radius, side="right")
+    count = np.maximum(stop - np.arange(1, len(xs) + 1), 0)  # none for a negative radius
+    a = np.repeat(np.arange(len(xs)), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    keep = np.abs(w[i] - w[j]) <= radius
+    i, j = i[keep], j[keep]
+    s = np.lexsort((j, i))
+    return i[s], j[s]
 
 
 def density_profile(vectors: np.ndarray, num_sites: int):
@@ -235,10 +296,12 @@ def density_profile(vectors: np.ndarray, num_sites: int):
     of mass (n,), participation ratio (n,)), each density row normalized.
     """
     R = np.asarray(vectors)
-    # one C-contiguous row per state: each reduction below runs along a row
-    mod2 = np.abs(np.ascontiguousarray(R.reshape(len(R), -1).T)) ** 2
-    if mod2.shape[1] == 2 * num_sites:
-        rho = mod2[:, :num_sites] + mod2[:, num_sites:]
+    # one contiguous row per state, so each reduction below runs along a
+    # row; the moduli are written in that order and squared and folded in place
+    mod2 = np.abs(R.reshape(len(R), -1).T, order="C", dtype=float)
+    np.square(mod2, out=mod2)
+    if mod2.shape[1] == 2 * num_sites:  # fold the second half onto the first
+        rho = np.add(mod2[:, :num_sites], mod2[:, num_sites:], out=mod2[:, :num_sites])
     elif mod2.shape[1] == num_sites:
         rho = mod2
     else:
@@ -246,7 +309,7 @@ def density_profile(vectors: np.ndarray, num_sites: int):
     total = rho.sum(axis=1)
     if not (np.isfinite(total) & (total > 0.0)).all():
         raise ZeroVector("state vector has zero or non-finite norm")
-    rho = rho / total[:, None]
+    rho /= total[:, None]
     com = (np.arange(1, num_sites + 1) * rho).sum(axis=1)
     return rho, com, 1.0 / (rho ** 2).sum(axis=1)
 

@@ -430,8 +430,10 @@ def test_sweep_solves_once_per_theta_orbit(monkeypatch, L, steps, model, orbits)
     want, flagged = sweep_theta_loop(spec, args, cli.RING_SITES, cli.resolve_ell(args, L))
     assert len(out.rows) == len(want) == steps
     for got, ref in zip(out.rows, want):
-        # theta, residual and verdict come from the ring at every step
-        assert got[:4] == ref[:4] and got[6] == ref[6]
+        # the verdict is the ring's at every step; the residual is that of
+        # the first ring of the step's theta class, equal up to rounding
+        assert got[:2] == ref[:2] and got[3] == ref[3] and got[6] == ref[6]
+        assert got[2] == pytest.approx(ref[2], rel=0, abs=1e-13)
         if got[0] not in flagged:
             assert got[4] == pytest.approx(ref[4], rel=0, abs=1e-10)
             assert got[5] == pytest.approx(ref[5], rel=0, abs=1e-10)
@@ -441,6 +443,30 @@ def test_sweep_solves_once_per_theta_orbit(monkeypatch, L, steps, model, orbits)
     # kappa is similarity-invariant: the same steps are flagged
     listed = out.warnings[0].split("steps ")[1].split(" are ")[0] if out.warnings else ""
     assert listed == ", ".join(map(str, flagged))
+
+
+@pytest.mark.parametrize("steps, classes", [(6, 1), (8, 3), (10, 3), (24, 3), (30, 3)])
+def test_sweep_tests_one_ring_per_theta_class(monkeypatch, steps, classes):
+    # the rings at theta + k pi / 3 and -theta are exactly similar to the
+    # ring at theta; checked against a ring verdict at every step
+    rng = np.random.default_rng(steps)
+    points = [{"t": rng.uniform(0.5, 1.5), "gamma": rng.uniform(-2.0, 2.0),
+               "delta": rng.uniform(-1.0, 1.0), "V": rng.uniform(-3.0, 3.0)} for _ in range(10)]
+    points += [{"gamma": 0.0, "delta": 0.5, "V": 2.0}, {"gamma": 1.5, "delta": 0.0, "V": 2.0}]
+    verdicts = []
+    theorem_verdict = cli.theorem_verdict
+    monkeypatch.setattr(cli, "theorem_verdict",
+                        lambda *a, **k: verdicts.append(1) or theorem_verdict(*a, **k))
+    args = cli.build_parser().parse_args(["sweep-theta", "--steps", str(steps)])
+    for point in points:
+        spec = ModelSpec.from_dict({**point, "L": 6})
+        verdicts.clear()
+        out = cli.cmd_sweep_theta(spec, args)
+        assert len(verdicts) == classes
+        want, _ = sweep_theta_loop(spec, args, cli.RING_SITES, cli.resolve_ell(args, 6))
+        for got, ref in zip(out.rows, want, strict=True):
+            assert got[3] == ref[3]
+            assert got[2] == pytest.approx(ref[2], rel=0, abs=1e-13)
 
 
 def test_solver_failure_is_a_numerical_error(config_path, tmp_path, capsys, monkeypatch):

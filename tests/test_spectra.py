@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhskin import (
     ModelSpec,
@@ -15,7 +16,8 @@ from nhskin import (
     theorem_verdict,
 )
 from nhskin.errors import DimMismatch, ZeroVector
-from nhskin.spectra import CLUSTER_TOL, EP_OVERLAP_TOL, KAPPA_EPS_BOUND
+from nhskin.spectra import (CLUSTER_TOL, EP_OVERLAP_TOL, KAPPA_EPS_BOUND, close_pairs,
+                            left_vectors)
 from oracles import (build_single_particle, density_profile_loop, negation_distance,
                      pbc_spectrum, set_distance)
 
@@ -323,3 +325,80 @@ def test_pbc_spectrum_broken_potential_detaches_from_ring():
 
 def test_biorthogonality_defect_is_small_for_normalish_matrix(reference_es):
     assert reference_es.biorthogonality_defect <= 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    REFERENCE.replace(L=48),
+    REFERENCE.replace(V=2.0, theta=0.3, L=12),
+    REFERENCE.replace(V=2.0, theta=0.3, L=48),
+    REFERENCE.replace(V=2.0, theta=np.pi / 3, L=47),
+    REFERENCE.replace(V=2.0, theta=1.2, gamma=1.8, L=48),
+    REFERENCE.replace(V=2.0, theta=0.3, L=48, boundary=PBC),
+    ModelSpec(gamma=0.4, delta=0.9, big_v=1.0, theta=0.7, num_sites=6),  # no conjugate pair
+], ids=["clean", "broken-12", "broken-48", "blocked-47", "broken-strong", "ring", "real-spectrum"])
+def test_left_vectors_match_the_complex_inverse(spec):
+    w, right = np.linalg.eig(build_bdg(spec))
+    pairs = np.flatnonzero(w.imag > 0.0)
+    before = right.copy()
+    left = left_vectors(right, pairs)
+    # the real basis is written into `right` only while it is inverted
+    assert np.array_equal(right, before)
+    ref = np.linalg.inv(right.astype(complex))
+    assert np.abs(left - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_complex_typed_matrix_has_no_pairs_and_the_same_eigensystem():
+    H = build_bdg(REFERENCE.replace(V=2.0, theta=0.3, L=24))
+    es_real, es_complex = eigendecompose(H, 24), eigendecompose(H.astype(complex), 24)
+    assert es_real.defective == es_complex.defective == []
+    assert set_distance(es_real.values, es_complex.values) <= 1e-9 * np.linalg.norm(H)
+    assert es_complex.biorthogonality_defect <= 1e-9
+    assert np.allclose(np.sort(es_complex.condition), np.sort(es_real.condition), rtol=1e-6)
+
+
+def test_density_profile_of_integer_vectors():
+    rho, com, pr = density_profile(np.ones((20, 3), dtype=int), 10)
+    assert rho.dtype == float and np.array_equal(rho, np.full((3, 10), 0.1))
+    assert np.array_equal(com, np.full(3, 5.5)) and np.allclose(pr, 10.0)
+
+
+@st.composite
+def _spectra(draw):
+    """Eigenvalue lists with ties, conjugate pairs and planted clusters, and
+    a search radius; grid points make distances of exactly the radius."""
+    radius = draw(st.sampled_from([0.0, 1e-10, 0.25, 0.5, 2.0]))
+    grid = st.builds(lambda a, b: complex(a, b) / 4, st.integers(-12, 12), st.integers(-12, 12))
+    real_axis = st.builds(lambda a: complex(a / 4, 0.0), st.integers(-12, 12))
+    free = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+    point = st.one_of(grid, real_axis, free)
+    w = draw(st.lists(point, max_size=30))
+    offset = st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
+    for center in draw(st.lists(point, max_size=3)):
+        size = draw(st.integers(2, 5))
+        w += [center + radius * complex(*draw(offset)) for _ in range(size)]
+    w += [z.conjugate() for z in draw(st.lists(st.sampled_from(w), max_size=6))] if w else []
+    # a power-of-two scale is exact; an offset moves every value off the grid
+    scale, shift = 2.0 ** draw(st.integers(-40, 40)), draw(st.sampled_from([0.0, 1e6, -3.0]))
+    w = np.array(draw(st.permutations(w)), dtype=complex) * scale + shift
+    return w, radius * scale
+
+
+@settings(max_examples=300)
+@given(case=_spectra())
+def test_close_pairs_match_the_dense_search(case):
+    w, radius = case
+    D = np.abs(w[:, None] - w[None, :])
+    # <= radius, and < radius as <= the next double below it
+    for r in (radius, np.nextafter(radius, -np.inf)):
+        i, j = close_pairs(w, r)
+        want_i, want_j = np.nonzero(np.triu(D <= r, 1))
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+def test_close_pairs_include_a_pair_at_exactly_the_radius():
+    w = np.array([0.0, 0.25, 0.25j, 0.25 - 0.25j, 3.0, 3.0, 1.0 + 0.5j, 1.0 - 0.5j])
+    i, j = close_pairs(w, 0.25)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (1, 3), (4, 5)]
+    i, j = close_pairs(w, np.nextafter(0.25, 0.0))
+    assert list(zip(i.tolist(), j.tolist())) == [(4, 5)]
+    assert close_pairs(np.array([1.0 + 1.0j, 1.0 - 1.0j]), 2.0)[0].tolist() == [0]
