@@ -82,8 +82,9 @@ MODEL_FLAGS = {"t": float, "gamma": float, "delta": float, "V": float,
 @dataclass
 class Output:
     """A command's result: its primary file (CSV rows or a JSON payload),
-    for commands that draw one a figure as a list of panels, and warnings
-    for stderr."""
+    for commands that draw one a callable that builds the figure, a list
+    of `svgplot` panels (title, xlabel, ylabel, series), and warnings for
+    stderr."""
 
     name: str
     header: list[str] = field(default_factory=list)
@@ -133,21 +134,17 @@ def resolve_ell(args, num_sites: int) -> int:
 
 
 def _scatter(rows, x: int, *panels):
-    """Figure callback: one panel per (title, xlabel, ylabel, y columns),
+    """Figure callable: one panel per (title, xlabel, ylabel, y columns),
     each scattering those columns of `rows` against column x."""
-    def figure():
-        grid = svgplot.panel_grid(len(panels), *zip(*(p[:3] for p in panels)))
-        for panel, (*_, ys) in zip(grid, panels):
-            for y in ys:
-                panel.scatter([r[x] for r in rows], [r[y] for r in rows])
-        return grid
-    return figure
+    return lambda: [(title, xlabel, ylabel, [([r[x] for r in rows], [r[y] for r in rows],
+                                              "scatter") for y in ys])
+                    for title, xlabel, ylabel, ys in panels]
 
 
 def _ill_conditioned(which: str, kappa: float) -> str:
-    """Warning text for eigenvalues past KAPPA_EPS_BOUND, largest kappa given
-    to one digit: past the bound, the inverse that pairs the left vectors
-    leaves kappa an order-of-magnitude estimate."""
+    """Warning text for a chain whose largest kappa*eps passes KAPPA_EPS_BOUND,
+    that kappa given to one digit: past the bound, the inverse that pairs
+    the left vectors leaves kappa an order-of-magnitude estimate."""
     return (f"{which} ill-conditioned (kappa*eps > {KAPPA_EPS_BOUND:g}, max kappa "
             f"{kappa:.0e}); they hold only to about kappa*eps*|H|_F")
 
@@ -160,9 +157,8 @@ def _classified(spec: ModelSpec, args):
         raise DegenerateAmbiguity(
             f"{len(es.defective)} eigenvalues in defective clusters, "
             f"first near {es.values[es.defective[0]]}")
-    flagged = es.ill_conditioned
-    warnings = [_ill_conditioned(f"{len(flagged)} of {es.dim} eigenvalues are",
-                                 es.condition.max())] if len(flagged) else []
+    warnings = ([_ill_conditioned("the chain's eigenvalues are", es.condition.max())]
+                if len(es.ill_conditioned) else [])
     return classify_states(es, resolve_ell(args, spec.num_sites), args.w_edge), warnings
 
 
@@ -216,14 +212,9 @@ def cmd_profiles(spec: ModelSpec, args) -> Output:
     L = spec.num_sites
     chosen = parse_selection(args.selection, st)
     rows = [(i, n + 1, st.density[i, n]) for i in chosen for n in range(L)]
-
-    def figure():
-        panels = svgplot.panel_grid(1, ["state densities"], ["site"], ["density"])
-        for i in chosen:
-            panels[0].line(range(1, L + 1), st.density[i])
-        return panels
-    return Output("profiles.csv", ["state_index", "site", "density"], rows,
-                  figure=figure, warnings=warnings)
+    return Output("profiles.csv", ["state_index", "site", "density"], rows, warnings=warnings,
+                  figure=lambda: [("state densities", "site", "density",
+                                   [(range(1, L + 1), st.density[i], "line") for i in chosen])])
 
 
 def cmd_symmetry(spec: ModelSpec, args) -> Output:
@@ -286,14 +277,13 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
             tested[key] = (residual, verdict.kind)
         rows.append((s, theta, *tested[key], sign * report.skew,
                      report.accumulation, report.skin_detected))
-    plotted = [(r[1], max(r[2], 1e-18), r[5]) for r in rows]
-    figure = _scatter(plotted, 0, ("commutator residual", "theta", "residual", [1]),
-                      ("bulk accumulation", "theta", "accumulation", [2]))
     warnings = [_ill_conditioned(f"eigenvalues at steps {', '.join(flagged)} are",
                                  kappa)] if flagged else []
     return Output("sweep.csv", ["step", "theta", "residual", "verdict", "skew",
-                                "accumulation", "skin_detected"], rows, figure=figure,
-                  warnings=warnings)
+                                "accumulation", "skin_detected"], rows, warnings=warnings,
+                  figure=lambda: _scatter([(r[1], max(r[2], 1e-18), r[5]) for r in rows], 0,
+                                          ("commutator residual", "theta", "residual", [1]),
+                                          ("bulk accumulation", "theta", "accumulation", [2]))())
 
 
 def cmd_boundary(spec: ModelSpec, args) -> Output:

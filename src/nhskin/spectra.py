@@ -21,8 +21,9 @@ instead of paired.
 
 Every eigenvalue carries its condition number kappa_i.  Open
 non-reciprocal chains have exponentially large kappa, so their computed
-spectrum is only good to about kappa * eps relative to |H|; states past
-KAPPA_EPS_BOUND are flagged (`EigenSystem.ill_conditioned`).
+spectrum is only good to about kappa * eps relative to |H|; when the
+largest kappa * eps passes KAPPA_EPS_BOUND, every eigenvalue of the chain
+is flagged (`EigenSystem.ill_conditioned`).
 
 The eigensystem records its chain length L (the matrix is L x L, or
 the doubled 2L x 2L), so the localization functions take no length.
@@ -64,7 +65,8 @@ CLUSTER_TOL = 1e-10
 # precision that basis is defective as well.
 EP_OVERLAP_TOL = 1e-10
 # kappa_i * eps above this: eigenvalue i may be off by more than this
-# times |H|_F (the first-order error estimate of a backward-stable solver).
+# times |H|_F (the first-order error estimate of a backward-stable solver;
+# past it the estimate fails for the chain's other eigenvalues too).
 KAPPA_EPS_BOUND = 1e-8
 DEFAULT_EDGE_SITES = 10
 DEFAULT_EDGE_WEIGHT = 0.9
@@ -100,8 +102,13 @@ class EigenSystem:
 
     @property
     def ill_conditioned(self) -> np.ndarray:
-        """Indices whose kappa * eps exceeds KAPPA_EPS_BOUND."""
-        return np.nonzero(self.condition * np.finfo(float).eps > KAPPA_EPS_BOUND)[0]
+        """Every index when the largest kappa * eps exceeds KAPPA_EPS_BOUND,
+        else none.  Past the bound the first-order estimate fails: the left
+        rows come from a poorly conditioned basis, and eigenvalues with a
+        small computed kappa move with rounding too, so the chain is judged
+        as a whole."""
+        worst = self.condition.max(initial=0.0) * np.finfo(float).eps
+        return np.arange(self.dim) if worst > KAPPA_EPS_BOUND else np.arange(0)
 
     @cached_property
     def biorthogonality_defect(self) -> float:
@@ -152,7 +159,7 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
 
     Raises
     ------
-    DimMismatch : H is neither L x L nor 2L x 2L.
+    DimMismatch : H is not a square matrix, or neither L x L nor 2L x 2L.
     ConvergenceFailure : solver failure, or a numerically singular
         eigenvector basis that no exceptional point explains.
     DegenerateAmbiguity : a healthy degenerate cluster that the position
@@ -160,9 +167,9 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
 
     A defective cluster is not paired; see `EigenSystem.defective`.
     """
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise DimMismatch(f"expected a square matrix, got shape {H.shape}")
     N = H.shape[0]
-    if H.shape[0] != H.shape[1]:
-        raise ConvergenceFailure(f"matrix is not square: {H.shape}")
     if N not in (num_sites, 2 * num_sites):
         raise DimMismatch(f"matrix size {N} is neither {num_sites} sites nor twice that")
     if not np.isfinite(H).all():
@@ -179,17 +186,18 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
     pos = np.tile(np.arange(1.0, num_sites + 1), N // num_sites)
 
     # two unit right vectors this parallel have |E_i - E_j| below
-    # 2 |H| sqrt(2 tol) / (1 - tol), so only such close pairs are compared
+    # 2 |H| sqrt(2 tol) / (1 - tol), so only pairs this close are compared.
+    # One search serves the clusters too: cluster_tol <= CLUSTER_TOL max|H|
+    # <= CLUSTER_TOL |H|_F lies far inside this radius (at H = 0 every
+    # eigenvalue is 0 and the radius 0 takes every pair)
     i, j = close_pairs(w, 3.0 * np.sqrt(EP_OVERLAP_TOL) * scaled_norm(H))
     ep = np.abs(np.einsum("ki,ki->i", right[:, i].conj(), right[:, j])) > 1.0 - EP_OVERLAP_TOL
-    i, j = i[ep], j[ep]
     parallel = np.zeros(N, dtype=bool)
-    parallel[i] = parallel[j] = True
+    parallel[i[ep]] = parallel[j[ep]] = True
     cluster_tol = np.ldexp(CLUSTER_TOL, np.frexp(np.abs(H).max(initial=0.0))[1] - 1)
-    # |E_i - E_j| < cluster_tol, as <= the next double below it
-    ci, cj = close_pairs(w, np.nextafter(cluster_tol, -np.inf))
+    joined = ep | (np.abs(w[i] - w[j]) < cluster_tol)
     defective = []
-    for idx in connected_components(N, np.concatenate([ci, i]), np.concatenate([cj, j])):
+    for idx in connected_components(N, i[joined], j[joined]):
         if len(idx) < 2:
             continue
         Rc = right[:, idx]

@@ -1,5 +1,8 @@
 """Dependency-free static SVG scatter/line plots (fixed 800x600 canvas).
 
+A figure is a list of panels, laid out side by side.  Each panel is a
+tuple (title, xlabel, ylabel, series), and each series (xs, ys, mode)
+with mode "scatter" or "line"; series take their colours by index.
 Figures exist for eyeballing; the CSV files are the contract.
 """
 
@@ -22,67 +25,56 @@ def _limits(vals):
     return lo - pad, hi + pad
 
 
-class Panel:
-    """One axes rectangle; several panels tile the canvas horizontally."""
+def _render(x0, y0, w, h, title, xlabel, ylabel, series):
+    """SVG elements of one panel whose axes rectangle is (x0, y0, w, h)."""
+    xlo, xhi = _limits([x for xs, _, _ in series for x in xs] or [0.0, 1.0])
+    ylo, yhi = _limits([y for _, ys, _ in series for y in ys] or [0.0, 1.0])
 
-    def __init__(self, x0, y0, w, h, title, xlabel, ylabel):
-        self.x0, self.y0, self.w, self.h = x0, y0, w, h
-        self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
-        self.series = []  # (xs, ys, mode, color)
+    def px(x):
+        return x0 + (x - xlo) / (xhi - xlo) * w
 
-    def scatter(self, xs, ys, color=None):
-        self.series.append((list(xs), list(ys), "scatter", color))
+    def py(y):
+        return y0 + h - (y - ylo) / (yhi - ylo) * h
 
-    def line(self, xs, ys, color=None):
-        self.series.append((list(xs), list(ys), "line", color))
-
-    def render(self):
-        allx = [x for s in self.series for x in s[0]] or [0.0, 1.0]
-        ally = [y for s in self.series for y in s[1]] or [0.0, 1.0]
-        xlo, xhi = _limits(allx)
-        ylo, yhi = _limits(ally)
-
-        def px(x):
-            return self.x0 + (x - xlo) / (xhi - xlo) * self.w
-
-        def py(y):
-            return self.y0 + self.h - (y - ylo) / (yhi - ylo) * self.h
-
-        parts = [
-            f'<rect x="{self.x0}" y="{self.y0}" width="{self.w}" height="{self.h}" '
-            'fill="none" stroke="#333" stroke-width="1"/>',
-            f'<text x="{self.x0 + self.w / 2:.1f}" y="{self.y0 - 8}" '
-            f'text-anchor="middle" font-size="14">{self.title}</text>',
-            f'<text x="{self.x0 + self.w / 2:.1f}" y="{self.y0 + self.h + 32}" '
-            f'text-anchor="middle" font-size="12">{self.xlabel}</text>',
-            f'<text x="{self.x0 - 42}" y="{self.y0 + self.h / 2:.1f}" '
-            f'text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 {self.x0 - 42} {self.y0 + self.h / 2:.1f})">'
-            f'{self.ylabel}</text>',
-        ]
-        for lab, v in (("%.3g" % xlo, xlo), ("%.3g" % xhi, xhi)):
-            parts.append(
-                f'<text x="{px(v):.1f}" y="{self.y0 + self.h + 16}" '
-                f'text-anchor="middle" font-size="10">{lab}</text>')
-        for lab, v in (("%.3g" % ylo, ylo), ("%.3g" % yhi, yhi)):
-            parts.append(
-                f'<text x="{self.x0 - 6}" y="{py(v):.1f}" '
-                f'text-anchor="end" font-size="10">{lab}</text>')
-        for si, (xs, ys, mode, color) in enumerate(self.series):
-            c = color or COLORS[si % len(COLORS)]
-            if mode == "line":
-                pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-                parts.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="{c}" stroke-width="1.2"/>')
-            else:
-                for x, y in zip(xs, ys):
-                    parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" '
-                                 f'r="2.2" fill="{c}" fill-opacity="0.75"/>')
-        return "\n".join(parts)
+    parts = [
+        f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" '
+        'fill="none" stroke="#333" stroke-width="1"/>',
+        f'<text x="{x0 + w / 2:.1f}" y="{y0 - 8}" '
+        f'text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{x0 + w / 2:.1f}" y="{y0 + h + 32}" '
+        f'text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="{x0 - 42}" y="{y0 + h / 2:.1f}" '
+        f'text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 {x0 - 42} {y0 + h / 2:.1f})">'
+        f'{ylabel}</text>',
+    ]
+    for lab, v in (("%.3g" % xlo, xlo), ("%.3g" % xhi, xhi)):
+        parts.append(
+            f'<text x="{px(v):.1f}" y="{y0 + h + 16}" '
+            f'text-anchor="middle" font-size="10">{lab}</text>')
+    for lab, v in (("%.3g" % ylo, ylo), ("%.3g" % yhi, yhi)):
+        parts.append(
+            f'<text x="{x0 - 6}" y="{py(v):.1f}" '
+            f'text-anchor="end" font-size="10">{lab}</text>')
+    for si, (xs, ys, mode) in enumerate(series):
+        c = COLORS[si % len(COLORS)]
+        if mode == "line":
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+            parts.append(f'<polyline points="{pts}" fill="none" '
+                         f'stroke="{c}" stroke-width="1.2"/>')
+        else:
+            for x, y in zip(xs, ys):
+                parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" '
+                             f'r="2.2" fill="{c}" fill-opacity="0.75"/>')
+    return "\n".join(parts)
 
 
 def write_svg(path, panels):
-    body = "\n".join(p.render() for p in panels)
+    """Write the figure `panels` (see the module docstring) to `path`."""
+    w = (WIDTH - (len(panels) + 1) * MARGIN) // len(panels)
+    h = HEIGHT - 2 * MARGIN - 20
+    body = "\n".join(_render(MARGIN + i * (w + MARGIN), MARGIN, w, h, *panel)
+                     for i, panel in enumerate(panels))
     doc = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
@@ -91,14 +83,3 @@ def write_svg(path, panels):
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(doc)
-
-
-def panel_grid(n, titles, xlabels, ylabels):
-    """n side-by-side panels filling the canvas."""
-    w = (WIDTH - (n + 1) * MARGIN) // n
-    h = HEIGHT - 2 * MARGIN - 20
-    return [
-        Panel(MARGIN + i * (w + MARGIN), MARGIN, w, h,
-              titles[i], xlabels[i], ylabels[i])
-        for i in range(n)
-    ]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,27 @@ def test_spectrum_reruns_are_byte_identical(config_path, tmp_path, capsys):
             argv = [command, "--config", config_path(), "--out", str(out), "--svg"]
             assert main(argv) == 1
             assert not out.exists()
+
+
+# Figure layout through the CLI: the axes rectangles side by side, and the
+# marks of each panel (circles, polylines) between its rectangle and the next.
+WIDE, HALF = ("60", "680", "460"), [("60", "310", "460"), ("430", "310", "460")]
+
+
+@pytest.mark.parametrize("command, flags, axes, marks", [
+    ("spectrum", ["--L", "12"], HALF, [(24, 0), (24, 0)]),
+    ("profiles", ["--L", "40", "--selection", "bulk:3"], [WIDE], [(0, 3)]),
+    ("sweep-theta", ["--L", "12", "--steps", "6"], HALF, [(6, 0), (6, 0)]),
+])
+def test_figure_layout(config_path, tmp_path, command, flags, axes, marks):
+    out = tmp_path / "o"
+    cfg = config_path(V=2.0, theta=0.3)
+    assert main([command, "--config", cfg, "--out", str(out), "--svg", *flags]) == 0
+    svg, = (p.read_text() for p in out.glob("*.svg"))
+    panels = svg.split('<rect x="')[1:]
+    assert [re.match(r'(\d+)" y="60" width="(\d+)" height="(\d+)"', p).groups()
+            for p in panels] == axes
+    assert [(p.count("<circle"), p.count("<polyline")) for p in panels] == marks
 
 
 def test_spectrum_hermitian_chain_real(config_path, tmp_path):

@@ -103,6 +103,30 @@ def test_condition_flag_is_silent_on_the_blocked_mpmath_chain():
     assert _error_against_mpmath(H, es.values).max() <= KAPPA_EPS_BOUND
 
 
+@pytest.mark.parametrize("L", [144, 192])
+def test_condition_flag_covers_every_eigenvalue_an_exact_similarity_moves(L):
+    # -G H G, G = diag((-1)^n) on both Nambu halves, is H at theta + pi formed
+    # without rounding: its spectrum is exactly -spec(H), so an eigenvalue the
+    # two solves disagree on is off in one of them and must be flagged there.
+    # First-order kappa_i * eps missed 4 of 4 such eigenvalues at L = 144
+    # and 57 of 71 at L = 192 (one BLAS thread).
+    H = build_bdg(REFERENCE.replace(V=2.0, theta=0.3, L=L))
+    g = np.tile((-1.0) ** np.arange(L), 2)
+    a, b = eigendecompose(H, L), eigendecompose(-(g[:, None] * H * g), L)
+    gap = np.abs(a.values[:, None] + b.values[None, :])
+    moved = np.flatnonzero(gap.min(axis=1) > 2.0 * KAPPA_EPS_BOUND * np.linalg.norm(H))
+    assert len(moved) > 0
+    partner = gap.argmin(axis=1)[moved]
+    missed = ~np.isin(moved, a.ill_conditioned) & ~np.isin(partner, b.ill_conditioned)
+    assert moved[missed].tolist() == []
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (4, 2)])
+def test_eigendecompose_rejects_a_non_square_matrix(shape):
+    with pytest.raises(DimMismatch):
+        eigendecompose(np.ones(shape), 2)
+
+
 def test_eigendecompose_rejects_a_length_that_does_not_fit():
     H = build_bdg(REFERENCE.replace(V=2.0, theta=0.3, L=48))
     with pytest.raises(DimMismatch):
