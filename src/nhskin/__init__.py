@@ -37,7 +37,6 @@ from .nonbloch import (
 from .boundary import (
     boundary_coeffs,
     boundary_determinant,
-    boundary_matrix,
     continuum_ratio,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "density_profile", "eigendecompose", "skin_metrics",
     "BetaQuartet", "band_energies", "continuum_condition",
     "solve_beta", "zak_phase",
-    "boundary_coeffs", "boundary_determinant",
-    "boundary_matrix", "continuum_ratio",
+    "boundary_coeffs", "boundary_determinant", "continuum_ratio",
 ]

@@ -9,7 +9,7 @@ amplitude ratio
         = delta (beta_j - beta_j^-1) / (E - (t + gamma/2) beta_j^-1
                                           - (t - gamma/2) beta_j)
 
-the condition rows are, per root j (columns ordered 1+, 1-, 2-, 2+):
+the condition rows are, per root j (columns in BRANCH_ORDER 1+, 2+, 1-, 2-):
 
     A_j            = E beta_j + (t + gamma/2) beta_j^2 + delta beta_j^2 r_j
     B_j            = r_j (E beta_j - (t - gamma/2) beta_j^2) - delta beta_j^2
@@ -21,20 +21,22 @@ and an open-chain energy E is characterized by the vanishing of the
 into the truncated end equations; the regression tests pin them against
 the finite-chain spectrum at L = 6.
 
-Determinants are reported relative to the largest term of the Leibniz
-expansion.  That ratio is invariant under any row or column rescaling,
-stays O(1) off the spectrum, and drops to rounding level exactly at the
-quantized energies, while raw determinants over/underflow once beta^L
-spans many decades.  The powers beta^L are therefore kept as logarithms
-and enter each Leibniz term relative to the largest pair of columns.
-The chain length L is the spec's `num_sites`.  Every function takes an
-array of n energies: the 24 Leibniz terms of all n matrices come from
-one gather over a fixed (24, 4) permutation table with its signs.
+The near-end rows (A, B) and the far-end rows (C, D beta), whose column
+j shares the factor beta_j^(L-1), split the determinant by Laplace
+expansion into six terms sign(S) top(S) bot(S^c) exp(g_S^c), one per
+column pair S: top and bot are the 2x2 minors of rows (A, B) and
+(C, D beta), and g_j = (L-1) log beta_j stays a logarithm because
+beta^L leaves double range at moderate L (|beta| ~ 16 past L ~ 256).
+Determinants are reported relative to the largest Leibniz term, the
+largest over S of the larger product of top(S) times that of bot(S^c)
+times |exp|: a ratio invariant under row or column rescaling, O(1) off
+the spectrum and at rounding level on it.  The two terms whose far-end
+columns hold the outer root and one middle root balance on a continuum
+band: `continuum_ratio` (Yokomizo and Murakami, PRL 123, 066404
+(2019)).  L is the spec's `num_sites`; every function takes n energies.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 import numpy as np
 
@@ -42,14 +44,10 @@ from .errors import SingularDenominator
 from .model import ModelSpec
 from .nonbloch import solve_beta, unit_couplings, unit_energies
 
-# Columns of the condition matrix, as indices into BRANCH_ORDER: 1+, 1-, 2-, 2+.
-COLUMN_ORDER = np.array([0, 2, 3, 1])
-
-# The 24 permutations of four columns and their signs (-1)^inversions,
-# for the Leibniz sum.
-PERMUTATIONS = np.array(list(permutations(range(4))))
-PERMUTATION_SIGNS = (-1.0) ** np.triu(
-    PERMUTATIONS[:, :, None] > PERMUTATIONS[:, None, :]).sum(axis=(1, 2))
+# The six column pairs (a, b) of the Laplace expansion and their signs
+# (-1)^(a+b+1); pair 5 - k is the complement of pair k, with the same sign.
+_PAIR_A, _PAIR_B = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).T
+_SIGNS = (-1.0) ** (_PAIR_A + _PAIR_B + 1)
 
 _DENOM_FLOOR = 1e-12
 
@@ -83,20 +81,20 @@ def boundary_coeffs(spec: ModelSpec, E, roots: np.ndarray) -> np.ndarray:
     return np.stack([A, B, C, D], axis=1)
 
 
-def boundary_matrix(spec: ModelSpec, E) -> tuple[np.ndarray, np.ndarray]:
-    """The 4x4 condition matrices at the n energies E, in factored form
-    (M, g) of shapes (n, 4, 4) and (n, 4).
-
-    M has rows (A_j, B_j, C_j, D_j b_j) and g_j = (L-1) log b_j: the
-    condition matrix, rows (A_j, B_j, C_j b^(L-1), D_j b^L), is M with
-    rows 3 and 4 of column j times exp(g_j).  The powers stay logs
-    because b^L leaves double range at moderate L (|b| ~ 16 past L ~ 256).
-    """
+def _minors(spec: ModelSpec, E):
+    """The Laplace table at the n energies E: (q, minors, largest, g), with
+    q the `solve_beta` quartet.  minors[0][:, k] is A_a B_b - A_b B_a on
+    column pair k = (a, b) and minors[1][:, k] is C_a D_b b_b - C_b D_a b_a;
+    largest holds the larger modulus of each minor's two products, and
+    g = (L-1) log b."""
     q = solve_beta(spec, E)
-    b = q.roots[:, COLUMN_ORDER]
-    M = boundary_coeffs(spec, q.energy, b)
-    M[:, 3] *= b
-    return M, (spec.num_sites - 1) * np.log(b)
+    b = q.roots
+    A, B, C, D = boundary_coeffs(spec, q.energy, b).transpose(1, 0, 2)
+    i, j = _PAIR_A, _PAIR_B
+    products = np.stack([[A[:, i] * B[:, j], A[:, j] * B[:, i]],
+                         [C[:, i] * D[:, j] * b[:, j], C[:, j] * D[:, i] * b[:, i]]])
+    return (q, products[:, 0] - products[:, 1], np.abs(products).max(axis=1),
+            (spec.num_sites - 1) * np.log(b))
 
 
 def boundary_determinant(spec: ModelSpec, E) -> np.ndarray:
@@ -105,29 +103,29 @@ def boundary_determinant(spec: ModelSpec, E) -> np.ndarray:
 
     Zero (to rounding) exactly at the eigenvalues of the open chain of
     spec.num_sites sites; O(1) away from them.  The determinant is the
-    sum of the 24 Leibniz terms of `boundary_matrix`, each with its two
-    powers of beta taken as one exponential relative to the largest pair
-    of columns; rows are pre-scaled to unit max magnitude.  The reported
-    ratio is independent of both scalings, and at any L only terms below
-    ~1e-308 of the largest underflow.
+    sum of the six Laplace terms of the module docstring, each with its
+    far-end powers of beta as one exponential relative to the largest
+    pair of columns, so at any L only terms below ~1e-308 of the
+    largest underflow.
     """
-    M, g = boundary_matrix(spec, E)
-    M = M / np.maximum(np.abs(M).max(axis=2, keepdims=True), 1e-300)
+    _, (top, bot), (top_max, bot_max), g = _minors(spec, E)
     g = g - np.sort(g.real, axis=1)[:, -2:].sum(axis=1, keepdims=True) / 2
-    P = PERMUTATIONS
-    terms = (PERMUTATION_SIGNS * M[:, np.arange(4), P].prod(axis=2)
-             * np.exp(g[:, P[:, 2]] + g[:, P[:, 3]]))
-    return terms.sum(axis=1) / np.maximum(np.abs(terms).max(axis=1), 1e-300)
+    far = g[:, _PAIR_A] + g[:, _PAIR_B]  # far[:, k]: the powers of far-end pair k
+    det = (_SIGNS * top[:, ::-1] * bot * np.exp(far)).sum(axis=1)
+    largest = (top_max[:, ::-1] * bot_max * np.exp(far.real)).max(axis=1)
+    return det / np.maximum(largest, 1e-300)
 
 
 def continuum_ratio(spec: ModelSpec, E) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the two-leading-terms balance, at each energy of E.
 
-    When the middle modulus pair is the '-' branch the relation reads
+    On a continuum band the two Laplace terms whose far-end columns hold
+    the outer root and one middle root dominate, and their sum vanishes.
+    When the middle modulus pair is the '-' branch that reads
 
         (beta_1- / beta_2-)^(L-1) =
-            (A_1+ B_1- - A_1- B_1+)(C_2- D_2+ b_2+ - C_2+ D_2- b_2-)
-          / (A_1+ B_2- - A_2- B_1+)(C_1- D_2+ b_2+ - C_2+ D_1- b_1-)
+            (A_1+ B_1- - A_1- B_1+)(C_2+ D_2- b_2- - C_2- D_2+ b_2+)
+          / (A_1+ B_2- - A_2- B_1+)(C_2+ D_1- b_1- - C_1- D_2+ b_2+)
 
     and the mirrored relation (all branch signs swapped) applies when
     the '+' pair is in the middle.  The exponent is L-1 because rows 3
@@ -137,17 +135,13 @@ def continuum_ratio(spec: ModelSpec, E) -> tuple[np.ndarray, np.ndarray]:
     the open chain of L = spec.num_sites sites, not at its two end modes
     near E = 0; on a continuum band |lhs| = 1.
     """
-    q = solve_beta(spec, E)
-    cf = boundary_coeffs(spec, q.energy, q.roots)
-    # per energy, the indices of 1p, 2p, 1m, 2m into BRANCH_ORDER
-    idx = np.where((np.abs(q.roots[:, 0]) <= np.abs(q.roots[:, 2]))[:, None],
-                   [0, 1, 2, 3], [2, 3, 0, 1])
-    b = np.take_along_axis(q.roots, idx, axis=1).T
-    A, B, C, D = np.take_along_axis(cf, idx[:, None], axis=2).transpose(1, 2, 0)
-    # index 0, 1, 2, 3 of b, A, B, C, D is 1p, 2p, 1m, 2m
-    lhs = (b[2] / b[3]) ** (spec.num_sites - 1)
-    num = (A[0] * B[2] - A[2] * B[0]) * (C[3] * D[1] * b[1] - C[1] * D[3] * b[3])
-    den = (A[0] * B[3] - A[3] * B[0]) * (C[2] * D[1] * b[1] - C[1] * D[2] * b[2])
+    q, (top, bot), _, _ = _minors(spec, E)
+    b = q.roots
+    minus = np.abs(b[:, 0]) <= np.abs(b[:, 2])
+    lhs = np.where(minus, b[:, 2] / b[:, 3], b[:, 0] / b[:, 1]) ** (spec.num_sites - 1)
+    # far-end pairs {2+, 2-} over {2+, 1-}, or {2-, 2+} over {2-, 1+}
+    num = top[:, 1] * bot[:, 4]
+    den = np.where(minus, top[:, 2] * bot[:, 3], top[:, 3] * bot[:, 2])
     if np.any(den == 0.0):
         E0 = complex(q.energy[den == 0.0][0])
         raise SingularDenominator(f"ratio denominator vanished at E = {E0}")

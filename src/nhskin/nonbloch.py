@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandTouching, ConfigError, DegenerateLeadingCoeff, UnsupportedPotential
+from .errors import (BandTouching, ConfigError, DegenerateLeadingCoeff, NonFinite,
+                     UnsupportedPotential)
 from .model import ModelSpec
 
 BRANCH_ORDER = ("1+", "2+", "1-", "2-")
@@ -75,8 +76,12 @@ def unit_couplings(spec: ModelSpec) -> tuple[int, float, float, float]:
 
 
 def unit_energies(E, e: int) -> np.ndarray:
-    """E / 2^e, exactly, as a flat complex array."""
-    return np.ldexp(np.asarray(E, dtype=complex).ravel().view(float), -e).view(complex)
+    """E / 2^e, exactly, as a flat complex array; NonFinite for a NaN or
+    infinite energy."""
+    E = np.asarray(E, dtype=complex).ravel()
+    if not np.isfinite(E).all():
+        raise NonFinite(f"energy {complex(E[~np.isfinite(E)][0])} is not finite")
+    return np.ldexp(E.view(float), -e).view(complex)
 
 
 def leading_coeff(t: float, gamma: float, delta: float) -> float:

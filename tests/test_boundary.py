@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,12 +9,10 @@ from nhskin import (
     band_energies,
     boundary_coeffs,
     boundary_determinant,
-    boundary_matrix,
     build_bdg,
     continuum_ratio,
     solve_beta,
 )
-from nhskin.boundary import PERMUTATIONS
 from nhskin.errors import SingularDenominator
 from nhskin.nonbloch import BRANCH_ORDER, CASE_NEITHER
 from oracles import boundary_determinant_scalar
@@ -53,18 +53,18 @@ def test_determinant_chain_length_mismatch(six_site_eigenvalues):
 
 
 def test_determinant_invariant_under_column_permutation(six_site_eigenvalues):
-    # the factored Leibniz sum against the LU determinant of the plain
-    # condition matrix, which is in double range at L = 6
+    # the Laplace sum against the LU determinant of the plain condition
+    # matrix, rows (A, B, C b^(L-1), D b^L), which is in double range at L = 6
     E = six_site_eigenvalues[2] + 0.4
-    M, g = boundary_matrix(COUPLINGS, E)
-    M, g = M[0], g[0]
-    M[2:] *= np.exp(g)
+    b = solve_beta(COUPLINGS, E).roots[0]
+    M = boundary_coeffs(COUPLINGS, E, b[None])[0]
+    M[2:] *= b ** (COUPLINGS.num_sites - 1)
+    M[3] *= b
+    biggest = max(abs(np.prod(M[np.arange(4), p])) for p in permutations(range(4)))
     base = boundary_determinant(COUPLINGS, E)[0]
     rng = np.random.default_rng(1)
     for _ in range(4):
-        MP = M[:, rng.permutation(4)]
-        biggest = np.abs(MP[np.arange(4), PERMUTATIONS].prod(axis=1)).max()
-        det = np.linalg.det(MP) / max(biggest, 1e-300)
+        det = np.linalg.det(M[:, rng.permutation(4)]) / biggest
         assert abs(abs(det) - abs(base)) <= 1e-12 * max(abs(base), 1.0)
 
 
@@ -164,6 +164,7 @@ def test_continuum_ratio_balances_at_open_chain_eigenvalues(gamma, delta, L):
     evals = np.linalg.eigvals(build_bdg(chain))
     lhs, rhs = continuum_ratio(chain, evals[np.argsort(np.abs(evals))[2:]])
     assert np.abs(np.log(np.abs(lhs) / np.abs(rhs))).max() <= 1e-9
+    assert np.abs(lhs / rhs - 1.0).max() <= 1e-9  # phases too, not only moduli
 
 
 @settings(max_examples=100)
@@ -191,9 +192,12 @@ ONE_WAY = ModelSpec(t=1.0, gamma=1.99, delta=0.1, num_sites=10)
 def test_norm_det_matches_per_energy_reference(chain, tol):
     evals = np.linalg.eigvals(build_bdg(chain))[:: max(1, chain.num_sites // 10)]
     E = np.concatenate([evals, evals + 0.03 + 0.02j])
-    got = np.abs(boundary_determinant(chain, E))
-    want = np.abs([boundary_determinant_scalar(chain, e) for e in E])
-    assert np.abs(got - want).max() <= tol
+    got = boundary_determinant(chain, E)
+    want = np.array([boundary_determinant_scalar(chain, e) for e in E])
+    assert np.abs(np.abs(got) - np.abs(want)).max() <= tol
+    # the complex values too, where the oracle's roots do not cancel
+    if chain is not ONE_WAY:
+        assert np.abs(got - want).max() <= 1e-10
 
 
 @pytest.mark.parametrize("L", [10, 100])

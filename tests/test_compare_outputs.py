@@ -27,3 +27,16 @@ def test_a_tree_against_itself_has_no_differences(tmp_path):
         "seed 0 nonbloch_loop gbz: gbz.csv differs, first at line 1 "
         f"({lines} vs {lines} lines)",
     ]
+    # with the header and row count kept, the differing columns are named
+    key = (0, "nonbloch_loop", "boundary")
+    rows = second[key]["boundary.csv"].decode().splitlines()
+    header = rows[0].split(",")
+    cells = rows[2].split(",")
+    col = header.index("norm_det")
+    cells[col] = repr(float(cells[col]) + 0.25)
+    rows[2] = ",".join(cells)
+    changed = {**second, key: {**second[key], "boundary.csv": "\n".join(rows).encode() + b"\n"}}
+    assert compare_outputs.differences(first, changed) == [
+        "seed 0 nonbloch_loop boundary: boundary.csv differs, first at line 3 "
+        f"({len(rows)} vs {len(rows)} lines); norm_det max |diff| 0.25",
+    ]

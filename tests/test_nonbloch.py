@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nhskin import (
     ModelSpec,
     band_energies,
+    boundary_coeffs,
     boundary_determinant,
     build_bdg,
     continuum_condition,
@@ -16,6 +19,7 @@ from nhskin.errors import (
     BandTouching,
     ConfigError,
     DegenerateLeadingCoeff,
+    NonFinite,
     UnsupportedPotential,
 )
 from nhskin.nonbloch import (
@@ -69,6 +73,20 @@ def test_every_nonbloch_function_refuses_a_potential(call):
     E = np.linalg.eigvals(build_bdg(spec))
     with pytest.raises(UnsupportedPotential, match="require V = 0"):
         call(spec, E)
+
+
+@pytest.mark.parametrize("call", [
+    solve_beta,
+    lambda spec, E: boundary_coeffs(spec, E, np.array([[0.5, -2.0, 0.25j, 4.0j]])),
+    boundary_determinant,
+    continuum_ratio,
+], ids=["solve_beta", "boundary_coeffs", "boundary_determinant", "continuum_ratio"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "-infj"])
+def test_every_energy_function_refuses_a_non_finite_energy(call, bad):
+    # the finite energy first: the message names the offending one
+    with pytest.raises(NonFinite, match=re.escape(f"energy {complex(bad)} is not finite")):
+        call(REFERENCE, [0.5 + 0.1j, bad])
 
 
 def test_char_poly_trivial_zero():

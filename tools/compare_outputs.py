@@ -10,11 +10,15 @@ Both trees run in the same scratch directory, one after the other, so
 they see the same config files and print the same output paths.  The
 tool prints one line per output file (primary file or SVG), stdout,
 stderr or exit code that differs, and exits 1 if any does, 0 if none.
+For a CSV with the same header and row count in both trees, the line
+also names the columns that differ, each numeric one with its largest
+absolute difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import shutil
 import subprocess
@@ -52,12 +56,35 @@ def run_tree(tree: Path, rundir: Path, seeds, sizes: str) -> dict:
     return outputs
 
 
-def _first_difference(a, b) -> str:
+def _first_difference(name: str, a, b) -> str:
     if not isinstance(a, bytes) or not isinstance(b, bytes):
         return f"{a!r} vs {b!r}"
     la, lb = a.splitlines(), b.splitlines()
     line = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
-    return f"first at line {line + 1} ({len(la)} vs {len(lb)} lines)"
+    where = f"first at line {line + 1} ({len(la)} vs {len(lb)} lines)"
+    return where + (_column_differences(la, lb) if name.endswith(".csv") else "")
+
+
+def _column_differences(la: list[bytes], lb: list[bytes]) -> str:
+    """'; ' and the columns that differ between two CSVs of one header and
+    row count, each numeric one with its largest absolute difference
+    ('norm_det max |diff| 1.3e-15'); '' when the shapes differ."""
+    ra, rb = (list(csv.reader(line.decode() for line in lines)) for lines in (la, lb))
+    width = len(ra[0]) if ra else 0
+    if ra[:1] != rb[:1] or len(ra) != len(rb) or any(len(r) != width for r in ra + rb):
+        return ""
+    parts = []
+    for column, xs, ys in zip(ra[0], zip(*ra[1:]), zip(*rb[1:])):
+        changed = [(x, y) for x, y in zip(xs, ys) if x != y]
+        if not changed:
+            continue
+        try:
+            worst = max(abs(float(x) - float(y)) for x, y in changed)
+        except ValueError:
+            parts.append(column)
+        else:
+            parts.append(f"{column} max |diff| {worst:.2g}")
+    return "; " + ", ".join(parts) if parts else ""
 
 
 def differences(before: dict, after: dict) -> list[str]:
@@ -73,7 +100,7 @@ def differences(before: dict, after: dict) -> list[str]:
                              f"{'missing' if b is missing else 'new'} in the change tree")
             elif a != b:
                 diffs.append(f"seed {seed} {workload} {label}: {name} differs, "
-                             + _first_difference(a, b))
+                             + _first_difference(name, a, b))
     return diffs
 
 
