@@ -158,7 +158,7 @@ def _classified(spec: ModelSpec, args):
             f"{len(es.defective)} eigenvalues in defective clusters, "
             f"first near {es.values[es.defective[0]]}")
     warnings = ([_ill_conditioned("the chain's eigenvalues are", es.condition.max())]
-                if len(es.ill_conditioned) else [])
+                if es.ill_conditioned else [])
     return classify_states(es, resolve_ell(args, spec.num_sites), args.w_edge), warnings
 
 
@@ -259,7 +259,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
         if rep == s:
             es = eigendecompose(build_bdg(spec.replace(theta=theta, boundary=OBC)), L)
             solved[s] = (skin_metrics(es, args.tau_skin, ell, args.w_edge),
-                         es.condition.max() if len(es.ill_conditioned) else None)
+                         es.condition.max() if es.ill_conditioned else None)
         report, worst = solved[rep]
         if worst is not None:
             flagged.append(str(s))
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         for key, kind in MODEL_FLAGS.items():
             p.add_argument(f"--{key}", type=kind,
-                           choices=[OBC, PBC] if key == "boundary" else None)
+                           help="obc or pbc, any case" if key == "boundary" else None)
         for flag, options in flags:
             p.add_argument(flag, **options)
         p.set_defaults(func=func)

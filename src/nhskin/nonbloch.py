@@ -77,11 +77,18 @@ def unit_couplings(spec: ModelSpec) -> tuple[int, float, float, float]:
 
 def unit_energies(E, e: int) -> np.ndarray:
     """E / 2^e, exactly, as a flat complex array; NonFinite for a NaN or
-    infinite energy."""
+    infinite energy, ConfigError for one whose real or imaginary part
+    passes 1e60 at unit scale.  That bound lies well inside what the
+    quartic (finite to ~1e150) and the boundary minors (~1e78) survive."""
     E = np.asarray(E, dtype=complex).ravel()
     if not np.isfinite(E).all():
         raise NonFinite(f"energy {complex(E[~np.isfinite(E)][0])} is not finite")
-    return np.ldexp(E.view(float), -e).view(complex)
+    Es = np.ldexp(E.view(float), -e).view(complex)
+    huge = np.abs(Es.view(float)).reshape(-1, 2).max(axis=1) > 1e60
+    if huge.any():
+        raise ConfigError(f"energy {complex(E[huge][0])} is out of range: "
+                          f"past 1e60 times the coupling scale")
+    return Es
 
 
 def leading_coeff(t: float, gamma: float, delta: float) -> float:
@@ -154,21 +161,19 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
                        mid_modulus_gap=np.abs(mods[:, 2] - mods[:, 1]))
 
 
-def band_energies(spec: ModelSpec, num_k: int, offset: float = 0.0) -> np.ndarray:
+def band_energies(spec: ModelSpec, num_k: int) -> np.ndarray:
     """The bands E+-(k) = -i gamma sin k +- 2 sqrt(t^2 cos^2 k + delta^2 sin^2 k)
     of H(e^{ik}) (Yao and Wang, PRL 121, 086803 (2018)), interleaved as
     E+(k_0), E-(k_0), E+(k_1), ...
 
     These are the bulk-band energies the open chain converges to; exact
-    finite-chain eigenvalues sit within O(1/L) of this set.  A fractional
-    grid `offset` shifts k by offset * 2 pi / num_k; offset = 0.5 avoids
-    the band edges at k = 0 and pi, where some end-condition denominators
-    have genuine 0/0 points.
+    finite-chain eigenvalues sit within O(1/L) of this set.  The grid is
+    k = 2 pi m / num_k, m = 0 .. num_k - 1.
     """
     unit_couplings(spec)
     if num_k < 1:
         raise ConfigError("num_k must be positive")
-    k = 2.0 * np.pi * (np.arange(num_k) + offset) / num_k
+    k = 2.0 * np.pi * np.arange(num_k) / num_k
     half_gap = 2.0 * np.hypot(spec.t * np.cos(k), spec.delta * np.sin(k))
     shift = -1j * spec.gamma * np.sin(k)
     return np.stack([shift + half_gap, shift - half_gap], axis=1).ravel()

@@ -22,8 +22,8 @@ instead of paired.
 Every eigenvalue carries its condition number kappa_i.  Open
 non-reciprocal chains have exponentially large kappa, so their computed
 spectrum is only good to about kappa * eps relative to |H|; when the
-largest kappa * eps passes KAPPA_EPS_BOUND, every eigenvalue of the chain
-is flagged (`EigenSystem.ill_conditioned`).
+largest kappa * eps passes KAPPA_EPS_BOUND, the chain as a whole is
+flagged (`EigenSystem.ill_conditioned` is True).
 
 The eigensystem records its chain length L (the matrix is L x L, or
 the doubled 2L x 2L), so the localization functions take no length.
@@ -81,6 +81,8 @@ class EigenSystem:
 
     `left` is the inverse of `right` (from the solver's real basis when H
     is real; see `left_vectors`), re-solved inside degenerate clusters.
+    Cluster rows, like singletons, are paired by those solves alone:
+    l_i . r_i = 1 to rounding, with no rescaling.
     `condition[i]` is kappa_i = |l_i| |r_i| / |l_i . r_i|, the eigenvalue
     condition number (inf where the left row overflowed).  `defective`
     lists the indices of exceptional points: clusters with near-parallel
@@ -101,14 +103,12 @@ class EigenSystem:
         return len(self.values)
 
     @property
-    def ill_conditioned(self) -> np.ndarray:
-        """Every index when the largest kappa * eps exceeds KAPPA_EPS_BOUND,
-        else none.  Past the bound the first-order estimate fails: the left
-        rows come from a poorly conditioned basis, and eigenvalues with a
-        small computed kappa move with rounding too, so the chain is judged
-        as a whole."""
-        worst = self.condition.max(initial=0.0) * np.finfo(float).eps
-        return np.arange(self.dim) if worst > KAPPA_EPS_BOUND else np.arange(0)
+    def ill_conditioned(self) -> bool:
+        """Whether the largest kappa * eps exceeds KAPPA_EPS_BOUND.  Past the
+        bound the first-order estimate fails: the left rows come from a
+        poorly conditioned basis, and eigenvalues with a small computed kappa
+        move with rounding too, so the chain is judged as a whole."""
+        return bool(self.condition.max(initial=0.0) * np.finfo(float).eps > KAPPA_EPS_BOUND)
 
     @cached_property
     def biorthogonality_defect(self) -> float:
@@ -210,23 +210,17 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
             continue
         Lc = np.linalg.solve(M, Wc)
         # canonical basis inside the cluster: diagonalize the position
-        # observable, then order members left to right along the chain
+        # observable, then order members left to right along the chain; the
+        # cond(G) bound keeps the rotated rows paired, l . r = 1 to ~cond(G) eps
         Xc = Lc @ (pos[:, None] * Rc)
         mu, G = np.linalg.eig(Xc)
         if np.linalg.cond(G) > 1e12:
             raise DegenerateAmbiguity(
                 f"cluster near {w[idx[0]]} cannot be split by position"
             )
-        sort = np.argsort(mu.real)
-        G = G[:, sort]
-        Rc = Rc @ G
-        Lc = np.linalg.solve(G, Lc)
-        diag = np.einsum("ij,ji->i", Lc, Rc)
-        if np.any(diag == 0.0):
-            raise DegenerateAmbiguity(f"cluster near {w[idx[0]]} lost biorthogonality")
-        Lc = Lc / diag[:, None]
-        right[:, idx] = Rc
-        left[idx, :] = Lc
+        G = G[:, np.argsort(mu.real)]
+        right[:, idx] = Rc @ G
+        left[idx, :] = np.linalg.solve(G, Lc)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # squared norms summed over the real and imaginary views: no N x N temporaries

@@ -4,7 +4,8 @@ Each function here is a slow, one-point-at-a-time or dense form of a
 routine in `nhskin`: the per-point loops check the batched code, bit
 for bit (`==`) where the arithmetic is the same; the 2x2 Bloch matrix,
 its eigenvalues per k and the point-by-point Wilson loop are the
-references for the closed forms of `band_energies` and `zak_phase`;
+references for the closed forms of `band_energies` and `zak_phase`,
+and `band_energies_half_shifted` gives the tests its grid off the band edges;
 the characteristic polynomial and its companion coefficients check the
 quartet of `solve_beta`; the per-vector density profile checks the
 array pass of `classify_states`; the per-energy beta quartet and boundary determinant check their
@@ -24,6 +25,7 @@ import numpy as np
 
 from nhskin.errors import BandTouching, ConfigError, NonPositiveSize
 from nhskin.model import OBC, PBC, Bonds, bonds, build_bdg, onsite_potential
+from nhskin.nonbloch import band_energies
 from nhskin.spectra import eigendecompose, skin_metrics
 from nhskin.symmetry import PAULI, commutator_residual, ring_candidates, theorem_verdict
 
@@ -39,6 +41,13 @@ def bloch_matrix_scalar(spec, beta) -> np.ndarray:
          [-spec.delta * diff, g2 + spec.t * s]],
         dtype=complex,
     )
+
+
+def band_energies_half_shifted(spec, num_k: int) -> np.ndarray:
+    """`band_energies` on the grid k = 2 pi (m + 1/2) / num_k, which avoids
+    the band edges k = 0 and pi, where some end-condition denominators have
+    genuine 0/0 points: the odd points of the doubled grid, exactly."""
+    return band_energies(spec, 2 * num_k).reshape(2 * num_k, 2)[1::2].ravel()
 
 
 def band_energies_loop(spec, num_k: int, offset: float = 0.0) -> np.ndarray:
@@ -328,7 +337,7 @@ def sweep_theta_loop(spec, args, ring_sites: int, ell: int):
         theta = 2.0 * np.pi * s / args.steps
         obc_spec = spec.replace(theta=theta, boundary=OBC)
         es = eigendecompose(build_bdg(obc_spec), obc_spec.num_sites)
-        if len(es.ill_conditioned):
+        if es.ill_conditioned:
             flagged.append(s)
         report = skin_metrics(es, args.tau_skin, ell, args.w_edge)
         H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=ring_sites))

@@ -32,8 +32,8 @@ from nhskin import (
 )
 from nhskin.cli import main
 from nhskin.symmetry import KIND_REDUCIBLE, SymmetryOp
-from oracles import (build_single_particle, negation_distance, pbc_spectrum,
-                     quartic_coefficients, set_distance)
+from oracles import (band_energies_half_shifted, build_single_particle, negation_distance,
+                     pbc_spectrum, quartic_coefficients, set_distance)
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -177,7 +177,7 @@ def test_criterion_09_boundary_determinant_oracle():
 
 def test_criterion_10_continuum_ratio_modulus():
     spec = REFERENCE.replace(L=40)
-    energies = band_energies(spec, 16, offset=0.5)
+    energies = band_energies_half_shifted(spec, 16)
     on_band = energies[solve_beta(spec, energies).continuum_case != "neither"]
     lhs, _ = continuum_ratio(spec, on_band)
     worst = np.abs(np.abs(lhs) - 1.0).max()

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nhskin import (
     ModelSpec,
-    band_energies,
     boundary_coeffs,
     boundary_determinant,
     build_bdg,
@@ -15,7 +14,7 @@ from nhskin import (
 )
 from nhskin.errors import SingularDenominator
 from nhskin.nonbloch import BRANCH_ORDER, CASE_NEITHER
-from oracles import boundary_determinant_scalar
+from oracles import band_energies_half_shifted, boundary_determinant_scalar
 
 COUPLINGS = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=6)
 
@@ -136,7 +135,7 @@ def test_singular_denominator_reported():
 
 def test_continuum_ratio_on_band_energies():
     spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=40)
-    E = band_energies(spec, 16, offset=0.5)
+    E = band_energies_half_shifted(spec, 16)
     q = solve_beta(spec, E)
     on_band = q.continuum_case != CASE_NEITHER
     lhs, rhs = continuum_ratio(spec, E[on_band])
@@ -147,7 +146,7 @@ def test_continuum_ratio_on_band_energies():
 
 def test_continuum_ratio_hermitian_limit_pure_phase():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.4, num_sites=40)
-    E = band_energies(spec, 8, offset=0.5)
+    E = band_energies_half_shifted(spec, 8)
     lhs, _ = continuum_ratio(spec, E[solve_beta(spec, E).continuum_case != CASE_NEITHER])
     assert np.abs(np.abs(lhs) - 1.0).max() <= 1e-10
 

@@ -712,6 +712,20 @@ def test_bad_input_is_a_typed_error(config_path, tmp_path, capsys, argv, code):
         assert err.splitlines()[-1] == label + str(refused.value)
 
 
+def test_boundary_flag_is_checked_like_a_config_value(config_path, tmp_path, capsys):
+    # ModelSpec is the one gate for the boundary, from a flag or a config file
+    chain = ["--L", "12", "--gamma", "1.5", "--delta", "0.5"]
+    for name, source in (("flag", ["--boundary", "PBC"]),
+                         ("config", ["--config", config_path(boundary="PBC")])):
+        assert main(["symmetry", *source, *chain, "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "flag" / "verdict.json").read_text()
+            == (tmp_path / "config" / "verdict.json").read_text())
+    capsys.readouterr()
+    assert main(["symmetry", "--boundary", "ring", *chain, "--out", str(tmp_path / "o")]) == 1
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == "config error: boundary must be 'obc' or 'pbc', got 'ring'")
+
+
 def test_length_cap_covers_config_files(config_path, tmp_path, capsys):
     rc = main(["symmetry", "--config", config_path(L=MAX_SITES + 1),
                "--out", str(tmp_path / "o")])

@@ -40,3 +40,19 @@ def test_a_tree_against_itself_has_no_differences(tmp_path):
         "seed 0 nonbloch_loop boundary: boundary.csv differs, first at line 3 "
         f"({len(rows)} vs {len(rows)} lines); norm_det max |diff| 0.25",
     ]
+
+
+def test_summary_line_counts_the_package_lines(tmp_path, monkeypatch, capsys):
+    trees = []
+    for name, sizes in (("parent", [3, 2]), ("change", [1, 2])):
+        pkg = tmp_path / name / "src" / "nhskin"
+        pkg.mkdir(parents=True)
+        for i, n in enumerate(sizes):
+            (pkg / f"m{i}.py").write_text("x = 1\n" * n)
+        (pkg / "notes.txt").write_text("not counted\n")
+        trees.append(str(tmp_path / name))
+    monkeypatch.setattr(compare_outputs, "run_tree",
+                        lambda tree, rundir, seeds, sizes: {(0, "w", "l"): {"exit code": 0}})
+    assert compare_outputs.main(trees) == 0
+    assert capsys.readouterr().out == (
+        "1 invocations per tree, 0 difference(s); src/nhskin/*.py 5 -> 3 lines\n")

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from nhskin.nonbloch import (
     CASE_PLUS_MIDDLE,
     MID_EQUAL_RTOL,
 )
-from oracles import (band_energies_loop, bloch_matrix_scalar, char_poly_residual,
-                     pbc_spectrum, quartic_coefficients, set_distance, solve_beta_scalar,
-                     wilson_loop_phase_loop, zak_phase_loop)
+from oracles import (band_energies_half_shifted, band_energies_loop, bloch_matrix_scalar,
+                     char_poly_residual, pbc_spectrum, quartic_coefficients, set_distance,
+                     solve_beta_scalar, wilson_loop_phase_loop, zak_phase_loop)
 
 REFERENCE = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=100)
 
@@ -75,18 +76,38 @@ def test_every_nonbloch_function_refuses_a_potential(call):
         call(spec, E)
 
 
-@pytest.mark.parametrize("call", [
+_ENERGY_FUNCTIONS = pytest.mark.parametrize("call", [
     solve_beta,
     lambda spec, E: boundary_coeffs(spec, E, np.array([[0.5, -2.0, 0.25j, 4.0j]])),
     boundary_determinant,
     continuum_ratio,
 ], ids=["solve_beta", "boundary_coeffs", "boundary_determinant", "continuum_ratio"])
+
+
+@_ENERGY_FUNCTIONS
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
                          ids=["nan", "inf", "-infj"])
 def test_every_energy_function_refuses_a_non_finite_energy(call, bad):
     # the finite energy first: the message names the offending one
     with pytest.raises(NonFinite, match=re.escape(f"energy {complex(bad)} is not finite")):
         call(REFERENCE, [0.5 + 0.1j, bad])
+
+
+@_ENERGY_FUNCTIONS
+@pytest.mark.parametrize("huge", [1e100, 1e200, -1e200j], ids=["1e100", "1e200", "-1e200j"])
+def test_every_energy_function_refuses_a_huge_energy(call, huge):
+    # past about 1e78 the boundary minors overflow, and past about 1e155
+    # the quartic: a typed refusal instead of NaN and RuntimeWarnings
+    with pytest.raises(ConfigError, match=re.escape(f"energy {complex(huge)} is out of range")):
+        call(REFERENCE, [0.5 + 0.1j, huge])
+
+
+@_ENERGY_FUNCTIONS
+def test_every_energy_function_is_finite_at_a_large_energy(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = call(REFERENCE, [0.5 + 0.1j, 1e50, -1e50j])
+    assert np.isfinite(np.asarray(getattr(out, "roots", out))).all()
 
 
 def test_char_poly_trivial_zero():
@@ -182,7 +203,7 @@ def test_middle_moduli_hold_next_to_the_degenerate_line(off):
     # ~2 sqrt(0.75) off here: its smaller root must not cancel, nor the
     # smaller beta of each branch
     spec = ModelSpec(t=1.0, gamma=1.0, delta=np.sqrt(0.75) + off, num_sites=10)
-    q = solve_beta(spec, band_energies(spec, 50, 0.5))
+    q = solve_beta(spec, band_energies_half_shifted(spec, 50))
     assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= 1e-7
 
 
@@ -337,7 +358,8 @@ def test_band_energies_match_point_loop(num_k, offset, t, gamma, delta):
     # times a number plus a Hermitian d . sigma, so both are accurate to
     # rounding relative to the couplings
     spec = ModelSpec(t=t, gamma=gamma, delta=delta, num_sites=10)
-    mine = band_energies(spec, num_k, offset).reshape(-1, 2)
+    mine = (band_energies_half_shifted(spec, num_k) if offset else
+            band_energies(spec, num_k)).reshape(-1, 2)
     loop = band_energies_loop(spec, num_k, offset).reshape(-1, 2)
     err = np.minimum(np.abs(mine - loop).max(axis=1), np.abs(mine - loop[:, ::-1]).max(axis=1))
     assert err.max() <= 1e-13 * max(abs(t), abs(gamma), abs(delta), 1.0)
@@ -395,7 +417,7 @@ def test_pair_products_and_char_poly_over_parameter_space(spec, energies):
 def test_middle_moduli_on_unit_circle_at_band_energies(spec, num_k):
     # next to a band edge the roots nearly coincide, so they hold only to
     # about sqrt(eps); MID_EQUAL_RTOL is the code's own allowance for it
-    q = solve_beta(spec, band_energies(spec, num_k, offset=0.5))
+    q = solve_beta(spec, band_energies_half_shifted(spec, num_k))
     assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= MID_EQUAL_RTOL
     assert np.isin(q.continuum_case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
 
@@ -406,8 +428,8 @@ def test_solve_beta_matches_per_energy_reference(spec):
     # the band edges k = 0 and pi are left out: at a double root, array and
     # scalar rounding of the discriminant move the moduli by ~sqrt(eps)
     rng = np.random.default_rng(11)
-    E = np.concatenate([band_energies(spec, 60, offset=0.5),
-                        band_energies(spec, 7, offset=0.5) * 1.01,
+    E = np.concatenate([band_energies_half_shifted(spec, 60),
+                        band_energies_half_shifted(spec, 7) * 1.01,
                         rng.uniform(-4, 4, 60) + 1j * rng.uniform(-4, 4, 60), [0.0]])
     q = solve_beta(spec, E)
     for i, e in enumerate(E):

@@ -12,7 +12,8 @@ tool prints one line per output file (primary file or SVG), stdout,
 stderr or exit code that differs, and exits 1 if any does, 0 if none.
 For a CSV with the same header and row count in both trees, the line
 also names the columns that differ, each numeric one with its largest
-absolute difference.
+absolute difference.  The summary line ends with both trees' line counts
+of src/nhskin/*.py, as `wc -l` counts them.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def run_tree(tree: Path, rundir: Path, seeds, sizes: str) -> dict:
                     got.update((p.name, p.read_bytes()) for p in sorted(inv.out.iterdir()))
                 outputs[seed, workload, inv.label] = got
     return outputs
+
+
+def source_lines(tree: Path) -> int:
+    """Newlines in the tree's src/nhskin/*.py, summed (`wc -l`)."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "nhskin").glob("*.py"))
 
 
 def _first_difference(name: str, a, b) -> str:
@@ -120,7 +126,8 @@ def main(argv=None) -> int:
     diffs = differences(*runs)
     for line in diffs:
         print(line)
-    print(f"{len(runs[0])} invocations per tree, {len(diffs)} difference(s)")
+    print(f"{len(runs[0])} invocations per tree, {len(diffs)} difference(s); src/nhskin/*.py "
+          f"{source_lines(args.parent)} -> {source_lines(args.change)} lines")
     return 1 if diffs else 0
 
 
