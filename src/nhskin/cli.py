@@ -5,30 +5,25 @@ boundary.  Each is a function (spec, args) -> Output: one primary CSV or
 JSON file, plus a figure for all but symmetry and zak.  `main` does the
 rest for every command: it reads the model from a JSON config file (keys
 t, gamma, delta, V, theta, L, boundary; flags take precedence and are
-merged in before the spec is built, which checks it), writes
-the primary file into --out and, under --svg, <stem>.svg beside it,
-prints the primary path and any warnings (spectrum, profiles and
-sweep-theta warn on stderr about ill-conditioned eigenvalues), and maps
-errors to exit codes.  Output is deterministic: identical configuration
-gives byte-identical files.  symmetry tests the 8 open-chain candidates,
-and on a ring whose length is a multiple of 6 then the 6 ring centers
-of `ring_candidates`.  sweep-theta tests the symmetry on a
-RING_SITES-site ring, whatever L is, once per class {+-theta + k pi / 3}
-of exactly similar rings (see RING_SITES); every step takes the verdict
-and residual of the first step of its class.  Skin metrics come from
-the open chain of length L, solved once per orbit of `model.theta_orbits`:
-H(theta + pi) = -G H(theta) G and H(-2 pi (L+1)/3 - theta) = M H(theta) M^T,
-with G = diag((-1)^n) on both Nambu halves and M = G tau_z tau_x (P + P)
-(P the site reversal), are exact signed-permutation similarities, so
-every member of an orbit takes its representative's accumulation,
-skin_detected and conditioning, and its skew times the orbit sign (-1
-where the mirror M maps it).  zak writes the closed-form phase of
-`nonbloch.zak_phase`, the same for both bands; its --grid is range
-checked but sets nothing.  gbz, zak and boundary refuse V != 0 and the
-line delta^2 - t^2 + gamma^2/4 = 0 with the one message each of
-`nonbloch.unit_couplings` and `solve_beta`, boundary before its eigensolve.
-Sizes are capped before any work starts (MAX_SITES for L and --L-check,
-MAX_GRID, MAX_STEPS, MAX_ENERGIES).
+merged in before the spec is built, which checks it), writes the primary
+file into --out and, under --svg, <stem>.svg beside it, prints the
+primary path and any warnings (spectrum, profiles and sweep-theta warn on
+stderr about ill-conditioned eigenvalues), and maps errors to exit codes.
+Output is deterministic: identical configuration gives byte-identical
+files.  spectrum prints the states in (Re E, Im E) order; a row's index
+is the state index that profiles selects and prints, and profiles
+refuses a selection that names no state (edge:all included).  symmetry
+tests the 8 open-chain candidates, and on a ring whose length is a
+multiple of 6 then the 6 ring centers of `ring_candidates`.  sweep-theta
+tests the symmetry on a RING_SITES-site ring and the skin effect on the
+open chain of length L, one eigensolve per orbit of `model.theta_orbits`.
+sweep-theta and boundary solve open chains only and refuse boundary pbc.
+zak writes the closed-form phase of `nonbloch.zak_phase`, the same for
+both bands; its --grid is range checked but sets nothing.  gbz, zak and
+boundary refuse V != 0 and the line delta^2 - t^2 + gamma^2/4 = 0 with
+the one message each of `nonbloch.unit_couplings` and `solve_beta`,
+boundary before its eigensolve.  Sizes are capped before any work starts
+(MAX_SITES for L and --L-check, MAX_GRID, MAX_STEPS, MAX_ENERGIES).
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
 error (numpy's LinAlgError included), 3 I/O.
@@ -150,8 +145,9 @@ def _ill_conditioned(which: str, kappa: float) -> str:
 
 
 def _classified(spec: ModelSpec, args):
-    """State table and conditioning warnings of the chain; a defective
-    cluster has no well-defined states, so per-state output refuses it."""
+    """State table, its energy order (state order[i] is spectrum.csv's row
+    i, the index selections use) and conditioning warnings; per-state
+    output refuses a defective cluster, which has no well-defined states."""
     es = eigendecompose(build_bdg(spec), spec.num_sites)
     if es.defective:
         raise DegenerateAmbiguity(
@@ -159,12 +155,12 @@ def _classified(spec: ModelSpec, args):
             f"first near {es.values[es.defective[0]]}")
     warnings = ([_ill_conditioned("the chain's eigenvalues are", es.condition.max())]
                 if es.ill_conditioned else [])
-    return classify_states(es, resolve_ell(args, spec.num_sites), args.w_edge), warnings
+    st = classify_states(es, resolve_ell(args, spec.num_sites), args.w_edge)
+    return st, np.lexsort((st.energy.imag, st.energy.real)), warnings
 
 
 def cmd_spectrum(spec: ModelSpec, args) -> Output:
-    st, warnings = _classified(spec, args)
-    order = np.lexsort((st.energy.imag, st.energy.real))
+    st, order, warnings = _classified(spec, args)
     rows = list(zip(range(len(order)), st.energy.real[order], st.energy.imag[order],
                     np.where(st.is_edge[order], "edge", "bulk"), st.center_of_mass[order],
                     st.edge_weight[order], st.participation_ratio[order]))
@@ -174,47 +170,46 @@ def cmd_spectrum(spec: ModelSpec, args) -> Output:
                                    "pr"], rows, figure=figure, warnings=warnings)
 
 
-def parse_selection(selection: str, st) -> list[int]:
-    if selection == "edge:all":
-        return np.flatnonzero(st.is_edge).tolist()
+def parse_selection(selection: str, edge: np.ndarray) -> list[int]:
+    """Rows of spectrum.csv that a selection names; `edge` is the edge mask
+    in that row order."""
     try:
         if selection.startswith("bulk:"):
-            return _bulk_quantiles(st, int(selection[len("bulk:"):]))
-        idx = [int(s) for s in selection.split(",") if s.strip() != ""]
+            return _bulk_quantiles(edge, int(selection[len("bulk:"):]))
+        idx = (np.flatnonzero(edge).tolist() if selection == "edge:all"
+               else [int(s) for s in selection.split(",") if s.strip() != ""])
     except ValueError as exc:
         raise SelectionOutOfRange(f"bad selection {selection!r}") from exc
     if not idx:
         raise SelectionOutOfRange(f"selection {selection!r} names no state")
     for i in idx:
-        if not (0 <= i < len(st.energy)):
+        if not (0 <= i < len(edge)):
             raise SelectionOutOfRange(f"state index {i} out of range")
     if len(set(idx)) < len(idx):
         raise SelectionOutOfRange(f"selection {selection!r} repeats a state index")
     return idx
 
 
-def _bulk_quantiles(st, k: int) -> list[int]:
-    """k bulk-classified states at quantiles of Re E, without repeats."""
-    bulk = np.flatnonzero(~st.is_edge)
-    if k < 1 or not len(bulk):
+def _bulk_quantiles(edge: np.ndarray, k: int) -> list[int]:
+    """k bulk-classified indices at quantiles of the energy order, without
+    repeats; `edge` is the edge mask in that order."""
+    bulk = np.flatnonzero(~edge).tolist()
+    if k < 1 or not bulk:
         raise SelectionOutOfRange(f"cannot take {k} bulk states")
-    E = st.energy[bulk]
-    ordered = bulk[np.lexsort((E.imag, E.real))].tolist()
-    if k >= len(ordered):
-        return ordered
-    picks = [ordered[int(round(q * (len(ordered) - 1)))]
-             for q in np.linspace(0.1, 0.9, k)]
+    if k >= len(bulk):
+        return bulk
+    picks = [bulk[int(round(q * (len(bulk) - 1)))] for q in np.linspace(0.1, 0.9, k)]
     return list(dict.fromkeys(picks))
 
 
 def cmd_profiles(spec: ModelSpec, args) -> Output:
-    st, warnings = _classified(spec, args)
-    L = spec.num_sites
-    chosen = parse_selection(args.selection, st)
-    rows = [(i, n + 1, st.density[i, n]) for i in chosen for n in range(L)]
+    st, order, warnings = _classified(spec, args)
+    sites = range(1, spec.num_sites + 1)
+    chosen = parse_selection(args.selection, st.is_edge[order])
+    rows = [(i, n, st.density[order[i], n - 1]) for i in chosen for n in sites]
     return Output("profiles.csv", ["state_index", "site", "density"], rows, warnings=warnings,
                   figure=lambda: [("state densities", "site", "density",
-                                   [(range(1, L + 1), st.density[i], "line") for i in chosen])])
+                                   [(sites, st.density[order[i]], "line") for i in chosen])])
 
 
 def cmd_symmetry(spec: ModelSpec, args) -> Output:
@@ -249,6 +244,8 @@ def cmd_zak(spec: ModelSpec, args) -> Output:
 
 
 def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
+    if spec.boundary != OBC:
+        raise ConfigError("sweep-theta solves open chains only, not boundary 'pbc'")
     candidates = ring_candidates()
     L, ell = spec.num_sites, resolve_ell(args, spec.num_sites)
     # one eigensolve per orbit of the exact theta similarities; every other
@@ -257,7 +254,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     for s, (rep, sign) in enumerate(theta_orbits(L, args.steps)):
         theta = 2.0 * np.pi * s / args.steps
         if rep == s:
-            es = eigendecompose(build_bdg(spec.replace(theta=theta, boundary=OBC)), L)
+            es = eigendecompose(build_bdg(spec.replace(theta=theta)), L)
             solved[s] = (skin_metrics(es, args.tau_skin, ell, args.w_edge),
                          es.condition.max() if es.ill_conditioned else None)
         report, worst = solved[rep]
@@ -287,9 +284,11 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
 
 
 def cmd_boundary(spec: ModelSpec, args) -> Output:
+    if spec.boundary != OBC:
+        raise ConfigError("boundary solves open chains only, not boundary 'pbc'")
     leading_coeff(*unit_couplings(spec)[1:])  # both refusals before the O(L^3) eigvals
     L = args.L_check
-    chain = spec.replace(L=L, boundary=OBC)
+    chain = spec.replace(L=L)
     evals = np.linalg.eigvals(build_bdg(chain))
     E = evals[np.lexsort((evals.imag, evals.real))]
     norm_det = np.abs(boundary_determinant(chain, E))

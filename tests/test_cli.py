@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nhskin import ModelSpec, cli, solve_beta
+from nhskin import ModelSpec, build_bdg, classify_states, cli, eigendecompose, solve_beta
 from nhskin.cli import MAX_ENERGIES, MAX_GRID, MAX_STEPS, main
 from nhskin.errors import DegenerateLeadingCoeff
 from nhskin.model import MAX_SITES, theta_orbits
@@ -173,6 +173,46 @@ def test_profiles_broken_symmetry_localizes(config_path, tmp_path):
         com = float(np.sum(np.arange(1, 61) * dens))
         displacements.append(abs(com - 30.5) / 30.0)
     assert np.mean(displacements) > 0.25
+
+
+def test_profiles_indices_are_spectrum_rows(config_path, tmp_path):
+    cfg = config_path(V=2.0, theta=0.3)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    _, spectrum = read_csv(tmp_path / "s" / "spectrum.csv")
+    edge = [int(r[0]) for r in spectrum if r[3] == "edge"]
+    bulk = [int(r[0]) for r in spectrum if r[3] == "bulk"]
+    picked = [*edge, bulk[0], bulk[len(bulk) // 2], bulk[-1]]
+    assert edge and len(set(picked)) == len(picked)
+    assert main(["profiles", "--config", cfg, "--out", str(tmp_path / "p"),
+                 "--selection", ",".join(map(str, picked))]) == 0
+    _, rows = read_csv(tmp_path / "p" / "profiles.csv")
+    assert [int(r[0]) for r in rows[::40]] == picked
+    for i, state in zip(picked, np.array(rows, dtype=float).reshape(len(picked), 40, 3)):
+        com = np.dot(state[:, 1], state[:, 2])
+        assert abs(com - float(spectrum[i][4])) <= 1e-12
+
+
+def test_explicit_edge_window_is_used_as_given(config_path, tmp_path):
+    # the default window at L = 12 is 6 sites, the whole chain
+    assert main(["spectrum", "--config", config_path(L=12), "--out", str(tmp_path / "o"),
+                 "--edge-sites", "3"]) == 0
+    _, rows = read_csv(tmp_path / "o" / "spectrum.csv")
+    spec = ModelSpec.from_dict({**REFERENCE_CONFIG, "L": 12})
+    weights = classify_states(eigendecompose(build_bdg(spec), 12), 3).edge_weight
+    assert np.allclose(sorted(float(r[5]) for r in rows), np.sort(weights), rtol=0, atol=1e-12)
+    assert max(weights) < 1.0
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep-theta", ["--steps", "6", "--V", "2"]),
+    ("boundary", ["--L-check", "6"]),
+])
+def test_open_chain_commands_refuse_a_ring(config_path, tmp_path, capsys, command, flags):
+    argv = [command, "--config", config_path(L=12), "--out", str(tmp_path / "o"), *flags]
+    assert main([*argv, "--boundary", "pbc"]) == 1
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == f"config error: {command} solves open chains only, not boundary 'pbc'")
+    assert main([*argv, "--boundary", "obc"]) == 0
 
 
 def test_profiles_bad_selection(config_path, tmp_path):
@@ -669,6 +709,12 @@ DEGENERATE_LINE = ["--t", "1.25", "--gamma", "1.5", "--delta", "1"]
     # an index list must name at least one state, each once
     (["profiles", "--selection", ","], 1),
     (["profiles", "--selection", "1,1"], 1),
+    (["profiles", "--selection", "bulk:0"], 1),
+    # no state's outer weight exceeds 1, so edge:all names no state
+    (["profiles", "--w-edge", "1", "--selection", "edge:all"], 1),
+    # an explicit edge window is not shrunk to fit the chain
+    (["spectrum", "--L", "12", "--edge-sites", "7"], 1),
+    (["sweep-theta", "--steps", "6.5"], 1),
     (["gbz", "--num-energies", "-3"], 1),
     (["spectrum", "--w-edge", "nan"], 1),
     (["symmetry", "--tol", "nan"], 1),

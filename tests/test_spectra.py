@@ -396,6 +396,13 @@ def test_left_vectors_match_the_complex_inverse(spec):
     assert np.abs(left - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def test_left_vectors_of_a_singular_basis_are_nan():
+    # an exactly singular basis has no inverse; eigendecompose reports the
+    # NaN rows as a defective cluster
+    left = left_vectors(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([], dtype=int))
+    assert left.dtype == complex and left.shape == (2, 2) and np.isnan(left).all()
+
+
 def test_complex_typed_matrix_has_no_pairs_and_the_same_eigensystem():
     H = build_bdg(REFERENCE.replace(V=2.0, theta=0.3, L=24))
     es_real, es_complex = eigendecompose(H, 24), eigendecompose(H.astype(complex), 24)
