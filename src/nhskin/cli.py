@@ -46,8 +46,8 @@ from .errors import (ConfigError, DegenerateAmbiguity, NhskinError, NumericalErr
                      SelectionOutOfRange)
 from .model import MAX_SITES, ModelSpec, OBC, PBC, bonds, build_bdg, theta_orbits
 from .nonbloch import band_energies, gbz_modulus_report, leading_coeff, unit_couplings, zak_phase
-from .spectra import (DEFAULT_EDGE_SITES, DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN,
-                      KAPPA_EPS_BOUND, classify_states, eigendecompose, skin_metrics)
+from .spectra import (DEFAULT_EDGE_WEIGHT, DEFAULT_TAU_SKIN, KAPPA_EPS_BOUND,
+                      classify_states, eigendecompose, skin_metrics)
 from .symmetry import (DEFAULT_TOL, commutator_residual, default_candidates,
                        ring_candidates, theorem_verdict)
 
@@ -70,8 +70,7 @@ MAX_ENERGIES = 10 ** 5
 RING_SITES = 12
 
 # Model flags shared by every command, with their value types.
-MODEL_FLAGS = {"t": float, "gamma": float, "delta": float, "V": float,
-               "theta": float, "L": int, "boundary": str}
+MODEL_FLAGS = {key: type(value) for key, value in ModelSpec().to_dict().items()}
 
 
 @dataclass
@@ -121,13 +120,6 @@ def load_model(args) -> ModelSpec:
     return ModelSpec.from_dict(raw)
 
 
-def resolve_ell(args, num_sites: int) -> int:
-    """Default edge window adapts to short chains; explicit flags do not."""
-    if args.edge_sites is None:
-        return max(1, min(DEFAULT_EDGE_SITES, num_sites // 2))
-    return args.edge_sites
-
-
 def _scatter(rows, x: int, *panels):
     """Figure callable: one panel per (title, xlabel, ylabel, y columns),
     each scattering those columns of `rows` against column x."""
@@ -155,7 +147,7 @@ def _classified(spec: ModelSpec, args):
             f"first near {es.values[es.defective[0]]}")
     warnings = ([_ill_conditioned("the chain's eigenvalues are", es.condition.max())]
                 if es.ill_conditioned else [])
-    st = classify_states(es, resolve_ell(args, spec.num_sites), args.w_edge)
+    st = classify_states(es, args.edge_sites, args.w_edge)
     return st, np.lexsort((st.energy.imag, st.energy.real)), warnings
 
 
@@ -247,7 +239,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     if spec.boundary != OBC:
         raise ConfigError("sweep-theta solves open chains only, not boundary 'pbc'")
     candidates = ring_candidates()
-    L, ell = spec.num_sites, resolve_ell(args, spec.num_sites)
+    L = spec.num_sites
     # one eigensolve per orbit of the exact theta similarities; every other
     # member reuses its representative's skin report and conditioning
     solved, tested, rows, flagged, kappa = {}, {}, [], [], 0.0
@@ -255,7 +247,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
         theta = 2.0 * np.pi * s / args.steps
         if rep == s:
             es = eigendecompose(build_bdg(spec.replace(theta=theta)), L)
-            solved[s] = (skin_metrics(es, args.tau_skin, ell, args.w_edge),
+            solved[s] = (skin_metrics(es, args.tau_skin, args.edge_sites, args.w_edge),
                          es.condition.max() if es.ill_conditioned else None)
         report, worst = solved[rep]
         if worst is not None:
@@ -316,7 +308,7 @@ SVG = (("--svg", {"action": "store_true", "help": "also write <stem>.svg"}),)
 TOL = (("--tol", {"type": float, "default": DEFAULT_TOL}),)
 THRESHOLDS = (
     ("--edge-sites", {"type": int, "default": None,
-                      "help": "edge window (default min(10, L//2))"}),
+                      "help": "edge window (default max(1, min(10, L//4)))"}),
     ("--w-edge", {"type": float, "default": DEFAULT_EDGE_WEIGHT}),
 )
 

@@ -316,11 +316,15 @@ def density_profile(vectors: np.ndarray, num_sites: int):
     return rho, com, 1.0 / (rho ** 2).sum(axis=1)
 
 
-def classify_states(es: EigenSystem, ell: int = DEFAULT_EDGE_SITES,
+def classify_states(es: EigenSystem, ell: int | None = None,
                     w_edge: float = DEFAULT_EDGE_WEIGHT) -> StateTable:
     """State table of the eigensystem; a state is an edge state when its
-    outer-ell-site weight exceeds w_edge."""
+    weight in the ell sites at each end exceeds w_edge.  An explicit ell
+    must lie in [1, L/2]; None gives max(1, min(DEFAULT_EDGE_SITES, L // 4)),
+    so that the two windows cover at most half the chain."""
     L = es.num_sites
+    if ell is None:
+        ell = max(1, min(DEFAULT_EDGE_SITES, L // 4))
     if not (1 <= ell <= L // 2):
         raise ConfigError(f"ell must lie in [1, L/2], got {ell}")
     if not (0.0 <= w_edge <= 1.0):
@@ -332,7 +336,7 @@ def classify_states(es: EigenSystem, ell: int = DEFAULT_EDGE_SITES,
 
 
 def skin_metrics(es: EigenSystem, tau_skin: float = DEFAULT_TAU_SKIN,
-                 ell: int = DEFAULT_EDGE_SITES,
+                 ell: int | None = None,
                  w_edge: float = DEFAULT_EDGE_WEIGHT) -> SkinReport:
     """Aggregate skin diagnostic over the bulk states.
 

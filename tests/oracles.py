@@ -27,7 +27,7 @@ from nhskin.errors import BandTouching, ConfigError, NonPositiveSize
 from nhskin.model import OBC, PBC, Bonds, bonds, build_bdg, onsite_potential
 from nhskin.nonbloch import band_energies
 from nhskin.spectra import eigendecompose, skin_metrics
-from nhskin.symmetry import PAULI, commutator_residual, ring_candidates, theorem_verdict
+from nhskin.symmetry import commutator_residual, ring_candidates, theorem_verdict
 
 
 def bloch_matrix_scalar(spec, beta) -> np.ndarray:
@@ -284,9 +284,18 @@ def build_reflection(L: int, staggered: bool, center: int | None = None) -> np.n
     return R
 
 
+# The internal factors written out here, not read from the package's
+# table, so that the dense operators check that table too.
+PAULI_MATRICES = {"sx": np.array([[0, 1], [1, 0]], dtype=complex),
+                  "sy": np.array([[0, -1j], [1j, 0]], dtype=complex),
+                  "sz": np.array([[1, 0], [0, -1]], dtype=complex),
+                  "id": np.eye(2, dtype=complex)}
+
+
 def symmetry_matrix(S, L: int) -> np.ndarray:
     """Dense 2L x 2L form kron(internal factor, build_reflection(...)) of a SymmetryOp."""
-    return np.kron(PAULI[S.internal_label], build_reflection(L, S.spatial_signed, S.center))
+    return np.kron(PAULI_MATRICES[S.internal_label],
+                   build_reflection(L, S.spatial_signed, S.center))
 
 
 def is_reducible_dense(H: np.ndarray) -> tuple[bool, list[list[int]]]:
@@ -328,7 +337,7 @@ def negation_distance(values: np.ndarray) -> float:
     return set_distance(values, -np.asarray(values))
 
 
-def sweep_theta_loop(spec, args, ring_sites: int, ell: int):
+def sweep_theta_loop(spec, args, ring_sites: int):
     """`sweep-theta`'s rows and ill-conditioned steps with one eigensolve
     and skin report per step: (rows, flagged steps)."""
     candidates = ring_candidates()
@@ -339,7 +348,7 @@ def sweep_theta_loop(spec, args, ring_sites: int, ell: int):
         es = eigendecompose(build_bdg(obc_spec), obc_spec.num_sites)
         if es.ill_conditioned:
             flagged.append(s)
-        report = skin_metrics(es, args.tau_skin, ell, args.w_edge)
+        report = skin_metrics(es, args.tau_skin, args.edge_sites, args.w_edge)
         H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=ring_sites))
         verdict = theorem_verdict(H_ring, candidates, args.tol)
         residual = verdict.commutator_residual

@@ -40,13 +40,16 @@ def read_csv(path):
     return header, rows
 
 
-def test_spectrum_command(config_path, tmp_path):
+# the default edge window, min(10, L // 4) sites, leaves short chains
+# their bulk rows
+@pytest.mark.parametrize("L", [40, 12, 20, 21])
+def test_spectrum_command(config_path, tmp_path, L):
     out = str(tmp_path / "out")
-    rc = main(["spectrum", "--config", config_path(), "--out", out, "--svg"])
+    rc = main(["spectrum", "--config", config_path(L=L), "--out", out, "--svg"])
     assert rc == 0
     header, rows = read_csv(os.path.join(out, "spectrum.csv"))
     assert header == ["index", "re_E", "im_E", "class", "com", "edge_weight", "pr"]
-    assert len(rows) == 80
+    assert len(rows) == 2 * L
     edge_rows = [r for r in rows if r[3] == "edge"]
     assert len(edge_rows) == 2
     with open(os.path.join(out, "spectrum.svg")) as fh:
@@ -123,10 +126,10 @@ def test_spectrum_hermitian_chain_real(config_path, tmp_path):
     assert max(abs(float(r[2])) for r in rows) <= 1e-10
 
 
-def test_profiles_bulk_selection(config_path, tmp_path):
+@pytest.mark.parametrize("L", [40, 12, 20, 21])
+def test_profiles_bulk_selection(config_path, tmp_path, L):
     out = str(tmp_path / "out")
-    rc = main(["profiles", "--config", config_path(), "--out", out,
-               "--selection", "bulk:4"])
+    rc = main(["profiles", "--config", config_path(L=L), "--out", out])  # bulk:4 by default
     assert rc == 0
     _, rows = read_csv(os.path.join(out, "profiles.csv"))
     by_state = {}
@@ -137,7 +140,7 @@ def test_profiles_bulk_selection(config_path, tmp_path):
         dens = np.array(dens)
         assert abs(dens.sum() - 1.0) <= 1e-12
         pr = 1.0 / (dens ** 2).sum()
-        assert pr >= 0.1 * 40  # delocalized
+        assert pr >= 0.1 * L  # delocalized
 
 
 def test_profiles_edge_selection(config_path, tmp_path):
@@ -193,12 +196,12 @@ def test_profiles_indices_are_spectrum_rows(config_path, tmp_path):
 
 
 def test_explicit_edge_window_is_used_as_given(config_path, tmp_path):
-    # the default window at L = 12 is 6 sites, the whole chain
+    # the default window at L = 12 is 3 sites
     assert main(["spectrum", "--config", config_path(L=12), "--out", str(tmp_path / "o"),
-                 "--edge-sites", "3"]) == 0
+                 "--edge-sites", "5"]) == 0
     _, rows = read_csv(tmp_path / "o" / "spectrum.csv")
     spec = ModelSpec.from_dict({**REFERENCE_CONFIG, "L": 12})
-    weights = classify_states(eigendecompose(build_bdg(spec), 12), 3).edge_weight
+    weights = classify_states(eigendecompose(build_bdg(spec), 12), 5).edge_weight
     assert np.allclose(sorted(float(r[5]) for r in rows), np.sort(weights), rtol=0, atol=1e-12)
     assert max(weights) < 1.0
 
@@ -489,7 +492,7 @@ def test_sweep_solves_once_per_theta_orbit(monkeypatch, L, steps, model, orbits)
     out = cli.cmd_sweep_theta(spec, args)
     orbit = theta_orbits(L, steps)
     assert len(solves) == orbits == len({rep for rep, _ in orbit})
-    want, flagged = sweep_theta_loop(spec, args, cli.RING_SITES, cli.resolve_ell(args, L))
+    want, flagged = sweep_theta_loop(spec, args, cli.RING_SITES)
     assert len(out.rows) == len(want) == steps
     for got, ref in zip(out.rows, want):
         # the verdict is the ring's at every step; the residual is that of
@@ -525,7 +528,7 @@ def test_sweep_tests_one_ring_per_theta_class(monkeypatch, steps, classes):
         verdicts.clear()
         out = cli.cmd_sweep_theta(spec, args)
         assert len(verdicts) == classes
-        want, _ = sweep_theta_loop(spec, args, cli.RING_SITES, cli.resolve_ell(args, 6))
+        want, _ = sweep_theta_loop(spec, args, cli.RING_SITES)
         for got, ref in zip(out.rows, want, strict=True):
             assert got[3] == ref[3]
             assert got[2] == pytest.approx(ref[2], rel=0, abs=1e-13)

@@ -265,6 +265,18 @@ def test_classification_reference_chain(reference_es):
     assert st.participation_ratio[~st.is_edge].min() >= 0.1 * 100
 
 
+@pytest.mark.parametrize("L", range(10, 49))
+def test_default_window_marks_only_the_zero_modes(L):
+    # on the blocked chain the two zero modes are the only end-localized
+    # states; the default window, at most a quarter of the chain at each
+    # end, leaves every other state in the bulk
+    es = eigendecompose(build_bdg(REFERENCE.replace(L=L)), L)
+    st = classify_states(es)
+    zero_modes = np.sort(np.argsort(np.abs(es.values))[:2])
+    assert np.array_equal(np.flatnonzero(st.is_edge), zero_modes)
+    assert not skin_metrics(es).skin_detected
+
+
 def test_classification_trivial_chain_has_no_edge_states():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.0, num_sites=30)
     es = eigendecompose(build_single_particle(spec), 30)
