@@ -113,7 +113,7 @@ def load_model(args) -> ModelSpec:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad bytes or JSON, or too deep
                 raise ConfigError(f"malformed config {args.config}: {exc}") from exc
     if isinstance(raw, dict):  # flags take precedence; from_dict refuses a non-object
         raw = {**raw, **{k: getattr(args, k) for k in MODEL_FLAGS if getattr(args, k) is not None}}

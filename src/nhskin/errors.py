@@ -61,10 +61,6 @@ class ZeroVector(ConfigError):
     """A state vector with (numerically) zero norm was supplied."""
 
 
-class NoBulkStates(NumericalError):
-    """Every state was excluded from the bulk set; skew is undefined."""
-
-
 # --- non-Bloch machinery ------------------------------------------------
 
 class UnsupportedPotential(ConfigError):

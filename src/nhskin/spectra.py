@@ -14,10 +14,10 @@ Numerically degenerate eigenvalue clusters (closer than CLUSTER_TOL
 relative to max |H|, by an exact power of two) are handled as a block: the
 left rows are re-solved against the cluster, and the cluster basis is
 rotated to diagonalize the site-position observable, which
-deterministically separates end-localized partners (a pair of zero modes
-otherwise comes out of the solver as arbitrary mixtures of the two ends).
-An exceptional point, where two right vectors coalesce, is reported
-instead of paired.
+deterministically separates end-localized partners.  A zero-mode pair
+split by more than that is no cluster: it stays as its exact
+eigenvectors, mixtures of the two ends.  An exceptional point, where two
+right vectors coalesce, is reported instead of paired.
 
 Every eigenvalue carries its condition number kappa_i.  Open
 non-reciprocal chains have exponentially large kappa, so their computed
@@ -27,15 +27,15 @@ flagged (`EigenSystem.ill_conditioned` is True).
 
 The eigensystem records its chain length L (the matrix is L x L, or
 the doubled 2L x 2L), so the localization functions take no length.
-Localization is computed for all states in one array pass
-(`classify_states` returns a `StateTable` of arrays): each state's site
-density folded over internal components, its center of mass, the weight
-in the outermost sites, and the participation ratio.  The skin
-diagnostic aggregates the center-of-mass displacements of bulk states;
-both the signed mean and the mean magnitude are reported, the latter
-because the doubled chain piles states on *both* ends when its
-reflection symmetry is broken (the two internal components have
-opposite hopping asymmetry), which a signed mean cancels to zero.
+`classify_states` gives every state's site density folded over internal
+components, its center of mass, the weight in the outermost sites and its
+participation ratio, as the arrays of a `StateTable`.  The skin diagnostic
+averages the center-of-mass displacements of the bulk states, all but the
+end-mode pair that `skin_metrics` names by the spectrum's E <-> -E
+pairing, with no tolerance.  Both the signed mean and the mean magnitude
+are reported, the latter because the doubled chain piles states on *both*
+ends when its reflection symmetry is broken (its two internal components
+have opposite hopping asymmetry), which a signed mean cancels.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .errors import (
     ConvergenceFailure,
     DegenerateAmbiguity,
     DimMismatch,
-    NoBulkStates,
     ZeroVector,
 )
 from .symmetry import connected_components, scaled_norm
@@ -71,7 +70,6 @@ KAPPA_EPS_BOUND = 1e-8
 DEFAULT_EDGE_SITES = 10
 DEFAULT_EDGE_WEIGHT = 0.9
 DEFAULT_TAU_SKIN = 0.25
-ZERO_MODE_RTOL = 1e-8
 
 
 @dataclass
@@ -340,10 +338,12 @@ def skin_metrics(es: EigenSystem, tau_skin: float = DEFAULT_TAU_SKIN,
                  w_edge: float = DEFAULT_EDGE_WEIGHT) -> SkinReport:
     """Aggregate skin diagnostic over the bulk states.
 
-    Topological end modes are excluded from the bulk set: a state counts
-    as one when it is edge-localized *and* its energy sits at zero within
-    ZERO_MODE_RTOL relative to the spectral radius (end modes of the
-    doubled chain are zero modes; skin-localized bulk states are not).
+    The doubled chain's two end modes are left out of the bulk, named by
+    the particle-hole pairing E <-> -E with no tolerance: with a the state
+    of least |E| and b the other state nearest to E_a, the pair {a, b} is
+    left out when b is also the other state nearest to -E_a and both are
+    edge states.  Their splitting, about e^(-L/xi), does not enter; an
+    L x L chain has no such pair.
     skew is the signed mean of (com - center)/(L/2) over bulk states,
     accumulation the mean magnitude; detection uses the magnitude since
     symmetry-broken chains pile states on both ends at once.
@@ -351,11 +351,14 @@ def skin_metrics(es: EigenSystem, tau_skin: float = DEFAULT_TAU_SKIN,
     if not (0.0 < tau_skin < 1.0):
         raise ConfigError(f"tau_skin must lie in (0, 1), got {tau_skin}")
     st = classify_states(es, ell, w_edge)
-    scale = max(np.abs(es.values).max(), 1e-300)
-    bulk = ~(st.is_edge & (np.abs(st.energy) <= ZERO_MODE_RTOL * scale))
-    if not bulk.any():
-        raise NoBulkStates("all states were classified as topological end modes")
-    L = es.num_sites
+    E, L = st.energy, es.num_sites
+    a = np.argmin(np.abs(E))
+    near, mirror = np.abs(E - E[a]), np.abs(E + E[a])
+    near[a] = mirror[a] = np.inf
+    b = np.argmin(near)
+    bulk = np.ones(es.dim, dtype=bool)
+    if es.dim == 2 * L and np.argmin(mirror) == b and st.is_edge[[a, b]].all():
+        bulk[[a, b]] = False
     disp = (st.center_of_mass[bulk] - (L + 1) / 2.0) / (L / 2.0)
     accumulation = float(np.abs(disp).mean())
     return SkinReport(skew=float(disp.mean()), accumulation=accumulation,

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhskin import ModelSpec, build_bdg, classify_states, cli, eigendecompose, solve_beta
 from nhskin.cli import MAX_ENERGIES, MAX_GRID, MAX_STEPS, main
@@ -780,3 +781,24 @@ def test_length_cap_covers_config_files(config_path, tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert f"<= {MAX_SITES}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000],
+                         ids=["not utf-8", "nested 100000 deep"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"config error: malformed config {path}: ")
+
+
+@settings(max_examples=200)
+@given(content=st.binary(max_size=64))
+def test_any_config_bytes_run_or_are_a_config_error(tmp_path_factory, content):
+    # a config file of any bytes either runs or is refused as a config error
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "model.json"
+    path.write_bytes(content)
+    assert main(["symmetry", "--config", str(path), "--out", str(tmp / "o")]) in (0, 1)

@@ -15,7 +15,7 @@ from nhskin import (
     skin_metrics,
     theorem_verdict,
 )
-from nhskin.errors import ConvergenceFailure, DimMismatch, NoBulkStates, ZeroVector
+from nhskin.errors import ConvergenceFailure, DimMismatch, ZeroVector
 from nhskin.spectra import (CLUSTER_TOL, EP_OVERLAP_TOL, KAPPA_EPS_BOUND, close_pairs,
                             left_vectors)
 from oracles import (build_single_particle, density_profile_loop, negation_distance,
@@ -150,15 +150,12 @@ def test_eigendecompose_reports_a_solver_failure(monkeypatch):
         eigendecompose(np.eye(4), 2)
 
 
-def test_zero_chain_is_one_cluster_with_no_bulk_states():
+def test_zero_chain_is_one_cluster():
     # all four eigenvalues are 0: one cluster, which the position rotation
-    # splits into unit vectors, each on one site, so every state is a zero
-    # mode at the ends of the two-site chain
+    # splits into unit vectors, each on one site
     es = eigendecompose(np.zeros((4, 4)), 2)
     assert es.defective == [] and (es.condition == 1.0).all()
     assert np.array_equal(es.left @ es.right, np.eye(4))
-    with pytest.raises(NoBulkStates):
-        skin_metrics(es, ell=1)
 
 
 def test_hermitian_limit_real_spectrum_conjugate_left():
@@ -265,16 +262,51 @@ def test_classification_reference_chain(reference_es):
     assert st.participation_ratio[~st.is_edge].min() >= 0.1 * 100
 
 
+def accumulation_without(es, states) -> float:
+    """Mean |com - center| / (L/2) over every state but `states`."""
+    L = es.num_sites
+    com = np.delete(classify_states(es).center_of_mass, states)
+    return float(np.abs((com - (L + 1) / 2.0) / (L / 2.0)).mean())
+
+
 @pytest.mark.parametrize("L", range(10, 49))
 def test_default_window_marks_only_the_zero_modes(L):
     # on the blocked chain the two zero modes are the only end-localized
     # states; the default window, at most a quarter of the chain at each
-    # end, leaves every other state in the bulk
+    # end, leaves every other state in the bulk, and the skin statistic
+    # leaves out the two zero modes however far apart their energies are
     es = eigendecompose(build_bdg(REFERENCE.replace(L=L)), L)
     st = classify_states(es)
     zero_modes = np.sort(np.argsort(np.abs(es.values))[:2])
     assert np.array_equal(np.flatnonzero(st.is_edge), zero_modes)
-    assert not skin_metrics(es).skin_detected
+    rep = skin_metrics(es)
+    assert not rep.skin_detected
+    assert rep.accumulation == pytest.approx(accumulation_without(es, zero_modes), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.3, np.pi / 6], ids=["0.3", "pi/6"])
+@pytest.mark.parametrize("L", range(24, 49))
+def test_broken_chain_leaves_out_the_end_mode_pair(L, theta):
+    # on the broken chain (V = 2) the end modes are split by up to 1e-5 of
+    # the spectral radius here; they are still the two states of least |E|,
+    # each the other's negative, and the skin statistic leaves out both
+    es = eigendecompose(build_bdg(REFERENCE.replace(V=2.0, theta=theta, L=L)), L)
+    pair = np.argsort(np.abs(es.values))[:2]
+    E = es.values[pair]
+    assert abs(E[0] + E[1]) <= 1e-12 * np.abs(es.values).max() < abs(E[0] - E[1])
+    assert classify_states(es).is_edge[pair].all()
+    assert skin_metrics(es).accumulation == pytest.approx(accumulation_without(es, pair),
+                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("L", range(40, 95, 6))
+def test_trivial_chain_leaves_out_no_state(L):
+    # at V = 5 the chain has no end modes: its two states of least |E|
+    # (|E| ~ 1.02, each the other's negative) are skin states at opposite
+    # ends, and every state stays in the bulk
+    es = eigendecompose(build_bdg(REFERENCE.replace(V=5.0, theta=0.3, L=L)), L)
+    assert skin_metrics(es).accumulation == pytest.approx(accumulation_without(es, []),
+                                                          rel=1e-12)
 
 
 def test_classification_trivial_chain_has_no_edge_states():
@@ -325,6 +357,16 @@ def test_skin_metrics_asymmetric_single_particle():
     rep = skin_metrics(es)
     assert rep.skin_detected
     assert rep.skew < -0.9  # one-sided pile-up keeps the sign
+
+
+@pytest.mark.parametrize("L", [2, 41])
+def test_single_particle_chain_leaves_out_no_state(L):
+    # an L x L chain has no particle-hole pair of end modes: at L = 2 its
+    # two states are each other's negatives and both edge, and at odd L
+    # its exact zero mode is a skin state; all stay in the bulk
+    es = eigendecompose(build_single_particle(ModelSpec(t=1.0, gamma=1.5, num_sites=L)), L)
+    assert skin_metrics(es).accumulation == pytest.approx(accumulation_without(es, []),
+                                                          rel=1e-12)
 
 
 def test_skin_metrics_invariant_under_state_reordering(reference_es):
