@@ -17,7 +17,8 @@ tests the 8 open-chain candidates, and on a ring whose length is a
 multiple of 6 then the 6 ring centers of `ring_candidates`.  sweep-theta
 tests the symmetry on a RING_SITES-site ring and the skin effect on the
 open chain of length L, one eigensolve per orbit of `model.theta_orbits`.
-sweep-theta and boundary solve open chains only and refuse boundary pbc.
+sweep-theta and boundary solve open chains only and refuse boundary pbc;
+sweep-theta also refuses an uncoupled chain (t = gamma = delta = 0).
 zak writes the closed-form phase of `nonbloch.zak_phase`, the same for
 both bands; its --grid is range checked but sets nothing.  gbz, zak and
 boundary refuse V != 0 and the line delta^2 - t^2 + gamma^2/4 = 0 with
@@ -238,6 +239,11 @@ def cmd_zak(spec: ModelSpec, args) -> Output:
 def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
     if spec.boundary != OBC:
         raise ConfigError("sweep-theta solves open chains only, not boundary 'pbc'")
+    if spec.t == spec.gamma == spec.delta == 0.0:
+        # every state then sits on one site, and their spread of centers of
+        # mass would read as skin accumulation
+        raise ConfigError("sweep-theta needs a coupled chain: with t, gamma and delta "
+                          "all 0 no bond joins two sites")
     candidates = ring_candidates()
     L = spec.num_sites
     # one eigensolve per orbit of the exact theta similarities; every other
@@ -249,6 +255,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
             es = eigendecompose(build_bdg(spec.replace(theta=theta)), L)
             solved[s] = (skin_metrics(es, args.tau_skin, args.edge_sites, args.w_edge),
                          es.condition.max() if es.ill_conditioned else None)
+            del es  # one eigensystem at a time: freed before the next solve
         report, worst = solved[rep]
         if worst is not None:
             flagged.append(str(s))

@@ -14,9 +14,10 @@ Numerically degenerate eigenvalue clusters (closer than CLUSTER_TOL
 relative to max |H|, by an exact power of two) are handled as a block: the
 left rows are re-solved against the cluster, and the cluster basis is
 rotated to diagonalize the site-position observable, which
-deterministically separates end-localized partners.  A zero-mode pair
-split by more than that is no cluster: it stays as its exact
-eigenvectors, mixtures of the two ends.  An exceptional point, where two
+deterministically separates end-localized partners; a cluster of real
+eigenvalues of a real H has real vectors and is rotated in real
+arithmetic.  A zero-mode pair split by more than that is no cluster: it
+stays as its exact eigenvectors, mixtures of the two ends.  An exceptional point, where two
 right vectors coalesce, is reported instead of paired.
 
 Every eigenvalue carries its condition number kappa_i.  Open
@@ -198,8 +199,9 @@ def eigendecompose(H: np.ndarray, num_sites: int) -> EigenSystem:
     for idx in connected_components(N, i[joined], j[joined]):
         if len(idx) < 2:
             continue
-        Rc = right[:, idx]
-        Wc = left[idx, :]
+        Rc, Wc = right[:, idx], left[idx, :]
+        if np.isrealobj(H) and not w[idx].imag.any():  # exactly real vectors: real LAPACK
+            Rc, Wc = Rc.real, Wc.real
         # inv(right) gives a healthy cluster an identity overlap block; an
         # exceptional point shows as parallel right vectors or a singular block
         if (parallel[idx].any() or not np.isfinite(M := Wc @ Rc).all()

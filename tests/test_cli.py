@@ -377,6 +377,24 @@ def test_sweep_hermitian_chain_never_expects_skin(config_path, tmp_path):
             assert float(r[2]) > 1e-3
 
 
+@pytest.mark.parametrize("flags", [["--L", "2"], ["--L", "6"], ["--L", "10"],
+                                   ["--V", "1", "--L", "12"]],
+                         ids=["L2", "L6", "L10", "diagonal-L12"])
+def test_sweep_refuses_an_uncoupled_chain(config_path, tmp_path, capsys, flags):
+    # with t = gamma = delta = 0 every state sits on one site, and the spread
+    # of their centers of mass would read as skin (accumulation 0.43 to 0.5)
+    cfg = config_path(t=0.0, gamma=0.0, delta=0.0)
+    out = tmp_path / "o"
+    assert main(["sweep-theta", "--config", cfg, "--out", str(out), "--steps", "6",
+                 *flags]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "config error: sweep-theta needs a coupled chain: with t, gamma and delta all 0 "
+        "no bond joins two sites")
+    assert not out.exists()
+    assert main(["symmetry", "--config", cfg, "--out", str(out), *flags]) == 0
+    assert json.loads((out / "verdict.json").read_text())["kind"] == "hermitian_no_skin"
+
+
 def test_sweep_rejects_too_few_steps(config_path, tmp_path):
     rc = main(["sweep-theta", "--config", config_path(V=2.0, L=24),
                "--out", str(tmp_path / "o"), "--steps", "3"])
