@@ -28,7 +28,6 @@ from .spectra import (
     skin_metrics,
 )
 from .nonbloch import (
-    BetaQuartet,
     band_energies,
     continuum_condition,
     solve_beta,
@@ -49,7 +48,6 @@ __all__ = [
     "ring_candidates", "theorem_verdict",
     "EigenSystem", "SkinReport", "StateTable", "classify_states",
     "density_profile", "eigendecompose", "skin_metrics",
-    "BetaQuartet", "band_energies", "continuum_condition",
-    "solve_beta", "zak_phase",
+    "band_energies", "continuum_condition", "solve_beta", "zak_phase",
     "boundary_coeffs", "boundary_determinant", "continuum_ratio",
 ]

@@ -82,18 +82,17 @@ def boundary_coeffs(spec: ModelSpec, E, roots: np.ndarray) -> np.ndarray:
 
 
 def _minors(spec: ModelSpec, E):
-    """The Laplace table at the n energies E: (q, minors, largest, g), with
-    q the `solve_beta` quartet.  minors[0][:, k] is A_a B_b - A_b B_a on
+    """The Laplace table at the n energies E: (b, minors, largest, g), with
+    b the `solve_beta` roots.  minors[0][:, k] is A_a B_b - A_b B_a on
     column pair k = (a, b) and minors[1][:, k] is C_a D_b b_b - C_b D_a b_a;
     largest holds the larger modulus of each minor's two products, and
     g = (L-1) log b."""
-    q = solve_beta(spec, E)
-    b = q.roots
-    A, B, C, D = boundary_coeffs(spec, q.energy, b).transpose(1, 0, 2)
+    b = solve_beta(spec, E)
+    A, B, C, D = boundary_coeffs(spec, E, b).transpose(1, 0, 2)
     i, j = _PAIR_A, _PAIR_B
     products = np.stack([[A[:, i] * B[:, j], A[:, j] * B[:, i]],
                          [C[:, i] * D[:, j] * b[:, j], C[:, j] * D[:, i] * b[:, i]]])
-    return (q, products[:, 0] - products[:, 1], np.abs(products).max(axis=1),
+    return (b, products[:, 0] - products[:, 1], np.abs(products).max(axis=1),
             (spec.num_sites - 1) * np.log(b))
 
 
@@ -135,14 +134,13 @@ def continuum_ratio(spec: ModelSpec, E) -> tuple[np.ndarray, np.ndarray]:
     the open chain of L = spec.num_sites sites, not at its two end modes
     near E = 0; on a continuum band |lhs| = 1.
     """
-    q, (top, bot), _, _ = _minors(spec, E)
-    b = q.roots
+    b, (top, bot), _, _ = _minors(spec, E)
     minus = np.abs(b[:, 0]) <= np.abs(b[:, 2])
     lhs = np.where(minus, b[:, 2] / b[:, 3], b[:, 0] / b[:, 1]) ** (spec.num_sites - 1)
     # far-end pairs {2+, 2-} over {2+, 1-}, or {2-, 2+} over {2-, 1+}
     num = top[:, 1] * bot[:, 4]
     den = np.where(minus, top[:, 2] * bot[:, 3], top[:, 3] * bot[:, 2])
     if np.any(den == 0.0):
-        E0 = complex(q.energy[den == 0.0][0])
+        E0 = complex(np.ravel(E)[den == 0.0][0])
         raise SingularDenominator(f"ratio denominator vanished at E = {E0}")
     return lhs, num / den

@@ -225,9 +225,9 @@ def cmd_gbz(spec: ModelSpec, args) -> Output:
     cand = band_energies(spec, n).reshape(n, 2)[first].ravel()
     cand = cand[np.lexsort((cand.imag, cand.real))]
     picks = np.unique(np.round(np.linspace(0, len(cand) - 1, args.num_energies)).astype(int))
-    q = gbz_modulus_report(spec, cand[picks])
-    rows = list(zip(q.energy.real, q.energy.imag, *q.sorted_moduli.T, q.continuum_case,
-                    q.mid_modulus_gap))
+    E = cand[picks]
+    mods, case, gap = gbz_modulus_report(spec, E)
+    rows = list(zip(E.real, E.imag, *mods.T, case, gap))
     return Output("gbz.csv", ["re_E", "im_E", "m1", "m2", "m3", "m4", "case", "mid_gap"], rows,
                   figure=_scatter(rows, 0, ("decay-factor moduli", "Re E", "|beta|", [2, 3, 4, 5])))
 

@@ -26,7 +26,8 @@ class NonPositiveSize(ConfigError):
 
 
 class PbcPeriodMismatch(ConfigError):
-    """Periodic ring length incompatible with the period-3 potential."""
+    """Periodic ring length incompatible with the period-3 potential, or,
+    for a ring reflection candidate, not a multiple of 6."""
 
 
 class NonFinite(ConfigError):

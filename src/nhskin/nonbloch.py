@@ -31,8 +31,6 @@ overflows and no floor moves at any coupling scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (BandTouching, ConfigError, DegenerateLeadingCoeff, NonFinite,
@@ -46,22 +44,6 @@ CASE_PLUS_MIDDLE = "case2"   # |b_1-| <= |b_1+| = |b_2+| <= |b_2-|
 CASE_NEITHER = "neither"
 
 MID_EQUAL_RTOL = 1e-6
-
-
-@dataclass
-class BetaQuartet:
-    """The four spatial decay factors at each of n energies.
-
-    roots[:, j] is branch BRANCH_ORDER[j]; within each x-branch, label 1
-    is the root of smaller modulus.  sorted_moduli is ascending along
-    each row; mid_modulus_gap = |m3 - m2|.
-    """
-
-    energy: np.ndarray
-    roots: np.ndarray
-    sorted_moduli: np.ndarray
-    continuum_case: np.ndarray
-    mid_modulus_gap: np.ndarray
 
 
 def unit_couplings(spec: ModelSpec) -> tuple[int, float, float, float]:
@@ -118,8 +100,12 @@ def continuum_condition(roots: np.ndarray) -> np.ndarray:
                     np.where(equal[:, 0], CASE_PLUS_MIDDLE, CASE_NEITHER))
 
 
-def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
+def solve_beta(spec: ModelSpec, E) -> np.ndarray:
     """Solve the quartic for the four decay factors at each energy of E.
+
+    Returns an (n, 4) complex array whose column j is branch
+    BRANCH_ORDER[j]; within each x-branch, label 1 is the root of
+    smaller modulus.
 
     Goes through the x = beta - beta^-1 substitution: a quadratic for x
     (both square-root signs retained, so the branch cut drops out), then
@@ -132,7 +118,6 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
     """
     e, t, gamma, delta = unit_couplings(spec)
     a = leading_coeff(t, gamma, delta)
-    E = np.asarray(E, dtype=complex).ravel()
     Es = unit_energies(E, e)
     Eg, c = Es * gamma, Es * Es - 4.0 * t ** 2
     sq = np.sqrt(Eg ** 2 - 4.0 * a * c)
@@ -154,11 +139,7 @@ def solve_beta(spec: ModelSpec, E) -> BetaQuartet:
     pair = np.stack([big, -1.0 / big], axis=2)
     m, ang = np.abs(pair), np.angle(pair)
     swap = (m[..., 0] > m[..., 1]) | ((m[..., 0] == m[..., 1]) & (ang[..., 0] > ang[..., 1]))
-    roots = np.where(swap[..., None], pair[..., ::-1], pair).reshape(-1, 4)
-    mods = np.sort(np.abs(roots), axis=1)
-    return BetaQuartet(energy=E, roots=roots, sorted_moduli=mods,
-                       continuum_case=continuum_condition(roots),
-                       mid_modulus_gap=np.abs(mods[:, 2] - mods[:, 1]))
+    return np.where(swap[..., None], pair[..., ::-1], pair).reshape(-1, 4)
 
 
 def band_energies(spec: ModelSpec, num_k: int) -> np.ndarray:
@@ -179,9 +160,13 @@ def band_energies(spec: ModelSpec, num_k: int) -> np.ndarray:
     return np.stack([shift + half_gap, shift - half_gap], axis=1).ravel()
 
 
-def gbz_modulus_report(spec: ModelSpec, energies) -> BetaQuartet:
-    """The quartet at each energy, for the GBZ table."""
-    return solve_beta(spec, energies)
+def gbz_modulus_report(spec: ModelSpec, energies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The derived columns of the GBZ table at each energy: the four root
+    moduli in ascending order (n, 4), the `continuum_condition` case and
+    the middle gap |m3 - m2|."""
+    roots = solve_beta(spec, energies)
+    mods = np.sort(np.abs(roots), axis=1)
+    return mods, continuum_condition(roots), np.abs(mods[:, 2] - mods[:, 1])
 
 
 def zak_phase(spec: ModelSpec) -> float:

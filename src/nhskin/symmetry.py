@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimMismatch, MalformedOperator, NonPositiveSize
+from .errors import (ConfigError, DimMismatch, MalformedOperator, NonPositiveSize,
+                     PbcPeriodMismatch)
 from .model import Bonds
 
 PAULI = {
@@ -72,13 +73,13 @@ class SymmetryOp:
         Doubled index k = a L + i (component a, 0-based site i) goes to the
         internal factor's image of a and the mirror image of i; coeff[k]
         is the internal entry times the staggering sign (-1)^(i+1).
-        Raises NonPositiveSize for L < 2, and for a ring center when L is
-        not a multiple of 6 (the period of sign pattern and potential).
+        Raises NonPositiveSize for L < 2, and PbcPeriodMismatch for a ring
+        center when 6 does not divide L (the period of signs and potential).
         """
         if L < 2:
             raise NonPositiveSize(f"reflection needs L >= 2, got {L}")
         if self.center is not None and L % 6 != 0:
-            raise NonPositiveSize(f"ring candidates need L divisible by 6, got {L}")
+            raise PbcPeriodMismatch(f"ring candidates need L divisible by 6, got {L}")
         P = PAULI[self.internal_label]
         comp = np.abs(P).argmax(axis=1)
         i = np.arange(L)
@@ -155,14 +156,15 @@ def commutator_residual(H: Bonds, S: SymmetryOp) -> float:
 
     S acts on L = H.dim / 2 sites; an odd H.dim raises DimMismatch.
     Bond (r, c, v) of H gives v coeff[c] at (r, sigma[c]) in HS and
-    coeff[inv[r]] v at (inv[r], c) in SH, with inv the inverse of sigma.
+    coeff[sigma[r]] v at (sigma[r], c) in SH: every candidate's site and
+    component maps are reflections, so sigma is its own inverse.
     """
     if H.dim % 2:
         raise DimMismatch(f"doubled matrix needs an even size, got {H.dim}")
     sigma, coeff = S.signed_permutation(H.dim // 2)
-    inv = np.argsort(sigma)
     r, c, v = H.rows, H.cols, H.vals
-    num = _difference_norm(H.dim, (r, sigma[c], v * coeff[c]), (inv[r], c, coeff[inv[r]] * v))
+    num = _difference_norm(H.dim, (r, sigma[c], v * coeff[c]),
+                           (sigma[r], c, coeff[sigma[r]] * v))
     return num / max(scaled_norm(v), 1e-300)
 
 

@@ -22,6 +22,7 @@ from nhskin import (
     build_bdg,
     classify_states,
     commutator_residual,
+    continuum_condition,
     continuum_ratio,
     default_candidates,
     eigendecompose,
@@ -31,6 +32,7 @@ from nhskin import (
     zak_phase,
 )
 from nhskin.cli import main
+from nhskin.nonbloch import gbz_modulus_report
 from nhskin.symmetry import KIND_REDUCIBLE, SymmetryOp
 from oracles import (band_energies_half_shifted, build_single_particle, negation_distance,
                      pbc_spectrum, quartic_coefficients, set_distance)
@@ -85,7 +87,7 @@ def test_criterion_04_pair_product_invariant():
         r = 4.0 * math.sqrt(rng.uniform())
         phi = rng.uniform(0.0, 2.0 * math.pi)
         energies.append(r * complex(math.cos(phi), math.sin(phi)))
-    b = solve_beta(REFERENCE, energies).roots  # columns 1+, 2+, 1-, 2-
+    b = solve_beta(REFERENCE, energies)  # columns 1+, 2+, 1-, 2-
     worst = float(max(np.abs(b[:, 0] * b[:, 1] + 1.0).max(),
                       np.abs(b[:, 2] * b[:, 3] + 1.0).max()))
     report(4, "pair products equal -1", worst <= 1e-10, f"worst={worst:.2e}")
@@ -93,7 +95,7 @@ def test_criterion_04_pair_product_invariant():
 
 def test_criterion_05_unit_circle_moduli():
     energies = band_energies(REFERENCE, 25)  # 50 bulk-band energies
-    m = solve_beta(REFERENCE, energies).sorted_moduli
+    m = gbz_modulus_report(REFERENCE, energies)[0]
     worst_eq = (np.abs(m[:, 1] - m[:, 2]) / np.maximum(m[:, 1], m[:, 2])).max()
     worst_one = np.abs(m[:, 1:3] - 1.0).max()
     ok = worst_eq <= 1e-6 and worst_one <= 1e-6
@@ -178,7 +180,7 @@ def test_criterion_09_boundary_determinant_oracle():
 def test_criterion_10_continuum_ratio_modulus():
     spec = REFERENCE.replace(L=40)
     energies = band_energies_half_shifted(spec, 16)
-    on_band = energies[solve_beta(spec, energies).continuum_case != "neither"]
+    on_band = energies[continuum_condition(solve_beta(spec, energies)) != "neither"]
     lhs, _ = continuum_ratio(spec, on_band)
     worst = np.abs(np.abs(lhs) - 1.0).max()
     tested = len(on_band)
@@ -198,7 +200,7 @@ def test_criterion_11_oracle_equivalence():
         if abs(spec.delta ** 2 - spec.t ** 2 + spec.gamma ** 2 / 4) < 1e-3:
             continue
         E = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        mine = solve_beta(spec, E).roots[0]
+        mine = solve_beta(spec, E)[0]
         other = np.roots(quartic_coefficients(spec, E))
         worst_roots = max(worst_roots, set_distance(mine, other))
     spec = REFERENCE.replace(L=50, boundary=PBC)

@@ -9,6 +9,7 @@ from nhskin import (
     boundary_coeffs,
     boundary_determinant,
     build_bdg,
+    continuum_condition,
     continuum_ratio,
     solve_beta,
 )
@@ -55,7 +56,7 @@ def test_determinant_invariant_under_column_permutation(six_site_eigenvalues):
     # the Laplace sum against the LU determinant of the plain condition
     # matrix, rows (A, B, C b^(L-1), D b^L), which is in double range at L = 6
     E = six_site_eigenvalues[2] + 0.4
-    b = solve_beta(COUPLINGS, E).roots[0]
+    b = solve_beta(COUPLINGS, E)[0]
     M = boundary_coeffs(COUPLINGS, E, b[None])[0]
     M[2:] *= b ** (COUPLINGS.num_sites - 1)
     M[3] *= b
@@ -84,7 +85,7 @@ def test_pairing_row_scales_linearly_with_delta():
     mags = []
     for d in (1e-2, 1e-4, 1e-6):
         spec = ModelSpec(t=1.0, gamma=0.0, delta=d, num_sites=10)
-        b = solve_beta(spec, E).roots[0]
+        b = solve_beta(spec, E)[0]
         denom = np.abs(E - (spec.t + spec.gamma / 2) / b - (spec.t - spec.gamma / 2) * b)
         regular = b[np.argsort(denom)[2:]]
         cf = boundary_coeffs(spec, E, regular[None])
@@ -98,8 +99,7 @@ def test_coefficients_frozen_regression():
     # values computed once from the hand-derived closed forms
     spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=40)
     E = 0.8 + 0.3j
-    q = solve_beta(spec, E)
-    cf = boundary_coeffs(spec, E, q.roots)[0]  # rows A, B, C, D; columns BRANCH_ORDER
+    cf = boundary_coeffs(spec, E, solve_beta(spec, E))[0]  # rows A, B, C, D; columns BRANCH_ORDER
     want = {
         "1+": [(-0.12284372490179211 - 0.03825422942379307j),
                (-0.05495303715627238 - 0.13388980298327596j),
@@ -136,18 +136,18 @@ def test_singular_denominator_reported():
 def test_continuum_ratio_on_band_energies():
     spec = ModelSpec(t=1.0, gamma=1.5, delta=0.5, num_sites=40)
     E = band_energies_half_shifted(spec, 16)
-    q = solve_beta(spec, E)
-    on_band = q.continuum_case != CASE_NEITHER
+    case = continuum_condition(solve_beta(spec, E))
+    on_band = case != CASE_NEITHER
     lhs, rhs = continuum_ratio(spec, E[on_band])
     assert np.abs(np.abs(lhs) - 1.0).max() <= 1e-6
     assert (1e-4 < np.abs(rhs)).all() and (np.abs(rhs) < 1e4).all()
-    assert len(set(q.continuum_case[on_band])) == 2  # both orderings occur and both paths run
+    assert len(set(case[on_band])) == 2  # both orderings occur and both paths run
 
 
 def test_continuum_ratio_hermitian_limit_pure_phase():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.4, num_sites=40)
     E = band_energies_half_shifted(spec, 8)
-    lhs, _ = continuum_ratio(spec, E[solve_beta(spec, E).continuum_case != CASE_NEITHER])
+    lhs, _ = continuum_ratio(spec, E[continuum_condition(solve_beta(spec, E)) != CASE_NEITHER])
     assert np.abs(np.abs(lhs) - 1.0).max() <= 1e-10
 
 

@@ -29,6 +29,7 @@ from nhskin.nonbloch import (
     CASE_NEITHER,
     CASE_PLUS_MIDDLE,
     MID_EQUAL_RTOL,
+    gbz_modulus_report,
 )
 from oracles import (band_energies_half_shifted, band_energies_loop, bloch_matrix_scalar,
                      char_poly_residual, pbc_spectrum, quartic_coefficients, set_distance,
@@ -131,9 +132,8 @@ def test_solved_roots_satisfy_char_poly():
     rng = np.random.default_rng(6)
     for _ in range(30):
         E = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        q = solve_beta(REFERENCE, E)
         scale = max(abs(E) ** 2, REFERENCE.t ** 2)
-        for b in q.roots[0]:
+        for b in solve_beta(REFERENCE, E)[0]:
             assert abs(char_poly_residual(REFERENCE, E, b)) <= 1e-9 * scale
 
 
@@ -141,7 +141,7 @@ def test_vieta_pair_products():
     rng = np.random.default_rng(7)
     for _ in range(50):
         E = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        b1p, b2p, b1m, b2m = solve_beta(REFERENCE, E).roots[0]
+        b1p, b2p, b1m, b2m = solve_beta(REFERENCE, E)[0]
         assert abs(b1p * b2p + 1.0) <= 1e-10
         assert abs(b1m * b2m + 1.0) <= 1e-10
         prod = np.prod([b1p, b2p, b1m, b2m])
@@ -152,7 +152,7 @@ def test_roots_match_companion_matrix():
     rng = np.random.default_rng(8)
     for _ in range(100):
         E = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        mine = np.sort_complex(solve_beta(REFERENCE, E).roots[0])
+        mine = np.sort_complex(solve_beta(REFERENCE, E)[0])
         other = np.sort_complex(np.roots(quartic_coefficients(REFERENCE, E)))
         # sorting complex values can swap near-ties; compare as multisets
         assert set_distance(mine, other) <= 1e-9
@@ -160,8 +160,7 @@ def test_roots_match_companion_matrix():
 
 def test_moduli_come_in_reciprocal_pairs():
     for E in (0.7 + 0.4j, 0.0 + 0.0j):
-        q = solve_beta(REFERENCE, E)
-        m = q.sorted_moduli[0]
+        m = gbz_modulus_report(REFERENCE, E)[0][0]
         assert abs(m[0] * m[3] - 1.0) <= 1e-10
         assert abs(m[1] * m[2] - 1.0) <= 1e-10
 
@@ -169,7 +168,7 @@ def test_moduli_come_in_reciprocal_pairs():
 def test_quartet_at_zero_energy():
     # x^2 coefficient is delta^2 - t^2 + gamma^2/4 = -0.1875 here and the
     # x term drops out, so the two branches are exact negatives
-    b1p, b2p, b1m, b2m = solve_beta(REFERENCE, 0.0).roots[0]
+    b1p, b2p, b1m, b2m = solve_beta(REFERENCE, 0.0)[0]
     assert abs(b1p * b2p + 1.0) <= 1e-12
     assert abs(b1m * b2m + 1.0) <= 1e-12
     moduli_plus = sorted([abs(b1p), abs(b2p)])
@@ -180,10 +179,10 @@ def test_quartet_at_zero_energy():
 def test_reciprocal_limit_roots_on_unit_circle():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.0, num_sites=10)
     k = 0.9
-    q = solve_beta(spec, -2.0 * np.cos(k))
-    assert np.abs(np.abs(q.roots[0]) - 1.0).max() <= 1e-10
+    b = solve_beta(spec, -2.0 * np.cos(k))[0]
+    assert np.abs(np.abs(b) - 1.0).max() <= 1e-10
     # particle band contributes e^{+-ik}, the hole band -e^{-+ik}
-    phases = np.sort(np.angle(q.roots[0]))
+    phases = np.sort(np.angle(b))
     want = np.sort([k, -k, np.pi - k, -(np.pi - k)])
     assert np.abs(phases - want).max() <= 1e-9
 
@@ -203,31 +202,30 @@ def test_middle_moduli_hold_next_to_the_degenerate_line(off):
     # ~2 sqrt(0.75) off here: its smaller root must not cancel, nor the
     # smaller beta of each branch
     spec = ModelSpec(t=1.0, gamma=1.0, delta=np.sqrt(0.75) + off, num_sites=10)
-    q = solve_beta(spec, band_energies_half_shifted(spec, 50))
-    assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= 1e-7
+    m, _, _ = gbz_modulus_report(spec, band_energies_half_shifted(spec, 50))
+    assert np.abs(m[:, 1:3] - 1.0).max() <= 1e-7
 
 
 def test_continuum_condition_on_band_energies():
-    q = solve_beta(REFERENCE, band_energies(REFERENCE, 17))
-    assert np.isin(q.continuum_case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
-    assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= 1e-6
+    m, case, _ = gbz_modulus_report(REFERENCE, band_energies(REFERENCE, 17))
+    assert np.isin(case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
+    assert np.abs(m[:, 1:3] - 1.0).max() <= 1e-6
 
 
 def test_continuum_condition_far_from_spectrum():
-    q = solve_beta(REFERENCE, 10.0 + 10.0j)
-    assert continuum_condition(q.roots) == [CASE_NEITHER]
+    assert continuum_condition(solve_beta(REFERENCE, 10.0 + 10.0j)) == [CASE_NEITHER]
 
 
 def test_continuum_condition_hermitian_limit():
     spec = ModelSpec(t=1.0, gamma=0.0, delta=0.0, num_sites=10)
-    q = solve_beta(spec, -2.0 * np.cos(1.1))
-    assert np.abs(q.sorted_moduli - 1.0).max() <= 1e-10
-    assert continuum_condition(q.roots) != [CASE_NEITHER]
+    b = solve_beta(spec, -2.0 * np.cos(1.1))
+    assert np.abs(np.abs(b) - 1.0).max() <= 1e-10
+    assert continuum_condition(b) != [CASE_NEITHER]
 
 
 def test_gbz_report_band_energies_on_unit_circle():
-    q = solve_beta(REFERENCE, band_energies(REFERENCE, 25))
-    assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= 1e-6
+    m, _, _ = gbz_modulus_report(REFERENCE, band_energies(REFERENCE, 25))
+    assert np.abs(m[:, 1:3] - 1.0).max() <= 1e-6
 
 
 def test_gbz_finite_chain_deviation_shrinks_with_length():
@@ -236,7 +234,7 @@ def test_gbz_finite_chain_deviation_shrinks_with_length():
     devs = {}
     for L in (50, 100):
         vals = np.linalg.eigvals(build_bdg(REFERENCE.replace(L=L)))
-        m = solve_beta(REFERENCE, vals[np.abs(vals) > 1e-6]).sorted_moduli
+        m = gbz_modulus_report(REFERENCE, vals[np.abs(vals) > 1e-6])[0]
         devs[L] = np.abs(m[:, 1:3] - 1.0).max()
     assert 0.3 <= devs[100] / devs[50] <= 0.7
     assert devs[100] < 0.05
@@ -244,9 +242,9 @@ def test_gbz_finite_chain_deviation_shrinks_with_length():
 
 def test_gbz_mirror_energy_same_moduli():
     for E in (0.9 + 0.2j, -1.3 + 0.7j, 2.0 - 0.1j):
-        qp = solve_beta(REFERENCE, E)
-        qm = solve_beta(REFERENCE, -E)
-        assert np.abs(qp.sorted_moduli - qm.sorted_moduli).max() <= 1e-10
+        mp = gbz_modulus_report(REFERENCE, E)[0]
+        mm = gbz_modulus_report(REFERENCE, -E)[0]
+        assert np.abs(mp - mm).max() <= 1e-10
 
 
 def test_zak_phase_reference_chain_is_pi():
@@ -376,9 +374,9 @@ def test_band_energies_match_ring_spectrum():
 
 
 def test_branch_labels_are_complete():
-    q = solve_beta(REFERENCE, 0.3 - 1.1j)
-    assert BRANCH_ORDER == ("1+", "2+", "1-", "2-") and q.roots.shape == (1, 4)
-    b1p, b2p, b1m, b2m = q.roots[0]
+    b = solve_beta(REFERENCE, 0.3 - 1.1j)
+    assert BRANCH_ORDER == ("1+", "2+", "1-", "2-") and b.shape == (1, 4)
+    b1p, b2p, b1m, b2m = b[0]
     assert abs(b1p) <= abs(b2p)
     assert abs(b1m) <= abs(b2m)
 
@@ -400,7 +398,7 @@ _ENERGIES = st.lists(st.complex_numbers(max_magnitude=5.0), min_size=1, max_size
 @given(spec=_off_line_specs(), energies=_ENERGIES)
 def test_pair_products_and_char_poly_over_parameter_space(spec, energies):
     E = np.array(energies, dtype=complex)
-    b = solve_beta(spec, E).roots
+    b = solve_beta(spec, E)
     assert b.shape == (len(E), 4)
     assert np.abs(b[:, 0] * b[:, 1] + 1.0).max() <= 1e-10
     assert np.abs(b[:, 2] * b[:, 3] + 1.0).max() <= 1e-10
@@ -417,9 +415,9 @@ def test_pair_products_and_char_poly_over_parameter_space(spec, energies):
 def test_middle_moduli_on_unit_circle_at_band_energies(spec, num_k):
     # next to a band edge the roots nearly coincide, so they hold only to
     # about sqrt(eps); MID_EQUAL_RTOL is the code's own allowance for it
-    q = solve_beta(spec, band_energies_half_shifted(spec, num_k))
-    assert np.abs(q.sorted_moduli[:, 1:3] - 1.0).max() <= MID_EQUAL_RTOL
-    assert np.isin(q.continuum_case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
+    m, case, _ = gbz_modulus_report(spec, band_energies_half_shifted(spec, num_k))
+    assert np.abs(m[:, 1:3] - 1.0).max() <= MID_EQUAL_RTOL
+    assert np.isin(case, (CASE_MINUS_MIDDLE, CASE_PLUS_MIDDLE)).all()
 
 
 @pytest.mark.parametrize("spec", GAPPED + [ModelSpec(t=1.0, gamma=0.0, delta=0.4, num_sites=10),
@@ -431,9 +429,9 @@ def test_solve_beta_matches_per_energy_reference(spec):
     E = np.concatenate([band_energies_half_shifted(spec, 60),
                         band_energies_half_shifted(spec, 7) * 1.01,
                         rng.uniform(-4, 4, 60) + 1j * rng.uniform(-4, 4, 60), [0.0]])
-    q = solve_beta(spec, E)
+    mods, case, gap = gbz_modulus_report(spec, E)
     for i, e in enumerate(E):
         want = solve_beta_scalar(spec, e)
-        assert np.abs(q.sorted_moduli[i] / want["sorted_moduli"] - 1.0).max() <= 1e-10
-        assert q.continuum_case[i] == want["continuum_case"]
-        assert abs(q.mid_modulus_gap[i] - want["mid_modulus_gap"]) <= 1e-10
+        assert np.abs(mods[i] / want["sorted_moduli"] - 1.0).max() <= 1e-10
+        assert case[i] == want["continuum_case"]
+        assert abs(gap[i] - want["mid_modulus_gap"]) <= 1e-10

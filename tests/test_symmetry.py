@@ -16,7 +16,8 @@ from nhskin import (
     theorem_verdict,
 )
 from nhskin.cli import RING_SITES
-from nhskin.errors import ConfigError, DimMismatch, MalformedOperator, NonPositiveSize
+from nhskin.errors import (ConfigError, DimMismatch, MalformedOperator, NonPositiveSize,
+                           PbcPeriodMismatch)
 from nhskin.symmetry import (
     KIND_BLOCKED,
     KIND_EXPECTED,
@@ -318,8 +319,17 @@ def test_ring_candidates_cover_all_third_pi_phases():
 def test_ring_candidates_need_multiple_of_six():
     ring = bonds(ModelSpec(t=1.0, gamma=1.5, delta=0.5, big_v=2.0, num_sites=9, boundary=PBC))
     assert commutator_residual(ring, default_candidates()[0]) >= 0.0
-    with pytest.raises(NonPositiveSize):
+    with pytest.raises(PbcPeriodMismatch):
         commutator_residual(ring, ring_candidates()[0])
+
+
+def test_every_candidate_is_its_own_inverse():
+    # commutator_residual maps rows through sigma in place of its inverse
+    cases = [(c, L) for L in range(2, 14) for c in default_candidates()]
+    cases += [(c, L) for L in (6, 12, 18) for c in ring_candidates()]
+    for cand, L in cases:
+        sigma, _ = cand.signed_permutation(L)
+        assert np.array_equal(sigma[sigma], np.arange(2 * L)), (cand, L)
 
 
 def test_candidate_rejects_short_chain():

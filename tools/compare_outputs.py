@@ -5,7 +5,8 @@
 Each tree is a checkout with the package under src/.  For every seed and
 each of the three workloads, the invocations that
 perfbench/workloads.py `build` lists run once per tree, each as a fresh
-interpreter with that tree's src/ on PYTHONPATH and one BLAS thread.
+interpreter with that tree's src/ on PYTHONPATH and one BLAS thread, launched
+as perfbench/run.py launches them (its `CLI` and `child_env`).
 Both trees run in the same scratch directory, one after the other, so
 they see the same config files and print the same output paths.  The
 tool prints one line per output file (primary file or SVG), stdout,
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import shutil
 import subprocess
 import sys
@@ -31,17 +31,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
-
-CLI = "import sys; from nhskin.cli import main; sys.exit(main())"
-THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+from run import CLI, child_env  # noqa: E402
 
 
 def run_tree(tree: Path, rundir: Path, seeds, sizes: str) -> dict:
     """Outputs of every invocation on one tree: (seed, workload, label) ->
     {"exit code": ..., "stdout": ..., "stderr": ..., <file name>: bytes}."""
-    env = {**os.environ, **THREAD_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree.resolve() / "src"),
-                                                      env.get("PYTHONPATH")]))
+    env = child_env(tree.resolve())
     outputs = {}
     shutil.rmtree(rundir, ignore_errors=True)
     for seed in seeds:
