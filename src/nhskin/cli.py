@@ -37,7 +37,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -77,15 +76,14 @@ MODEL_FLAGS = {key: type(value) for key, value in ModelSpec().to_dict().items()}
 @dataclass
 class Output:
     """A command's result: its primary file (CSV rows or a JSON payload),
-    for commands that draw one a callable that builds the figure, a list
-    of `svgplot` panels (title, xlabel, ylabel, series), and warnings for
-    stderr."""
+    for commands that draw one the figure, a list of `svgplot` panels
+    (title, xlabel, ylabel, series), and warnings for stderr."""
 
     name: str
     header: list[str] = field(default_factory=list)
     rows: list[tuple] = field(default_factory=list)
     payload: dict | None = None
-    figure: Callable[[], list] | None = None
+    figure: list | None = None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -122,11 +120,11 @@ def load_model(args) -> ModelSpec:
 
 
 def _scatter(rows, x: int, *panels):
-    """Figure callable: one panel per (title, xlabel, ylabel, y columns),
-    each scattering those columns of `rows` against column x."""
-    return lambda: [(title, xlabel, ylabel, [([r[x] for r in rows], [r[y] for r in rows],
-                                              "scatter") for y in ys])
-                    for title, xlabel, ylabel, ys in panels]
+    """Figure panels, one per (title, xlabel, ylabel, y columns), each
+    scattering those columns of `rows` against column x."""
+    return [(title, xlabel, ylabel, [([r[x] for r in rows], [r[y] for r in rows], "scatter")
+                                     for y in ys])
+            for title, xlabel, ylabel, ys in panels]
 
 
 def _ill_conditioned(which: str, kappa: float) -> str:
@@ -201,8 +199,8 @@ def cmd_profiles(spec: ModelSpec, args) -> Output:
     chosen = parse_selection(args.selection, st.is_edge[order])
     rows = [(i, n, st.density[order[i], n - 1]) for i in chosen for n in sites]
     return Output("profiles.csv", ["state_index", "site", "density"], rows, warnings=warnings,
-                  figure=lambda: [("state densities", "site", "density",
-                                   [(sites, st.density[order[i]], "line") for i in chosen])])
+                  figure=[("state densities", "site", "density",
+                           [(sites, st.density[order[i]], "line") for i in chosen])])
 
 
 def cmd_symmetry(spec: ModelSpec, args) -> Output:
@@ -277,9 +275,9 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
                                  kappa)] if flagged else []
     return Output("sweep.csv", ["step", "theta", "residual", "verdict", "skew",
                                 "accumulation", "skin_detected"], rows, warnings=warnings,
-                  figure=lambda: _scatter([(r[1], max(r[2], 1e-18), r[5]) for r in rows], 0,
-                                          ("commutator residual", "theta", "residual", [1]),
-                                          ("bulk accumulation", "theta", "accumulation", [2]))())
+                  figure=_scatter([(r[1], max(r[2], 1e-18), r[5]) for r in rows], 0,
+                                  ("commutator residual", "theta", "residual", [1]),
+                                  ("bulk accumulation", "theta", "accumulation", [2])))
 
 
 def cmd_boundary(spec: ModelSpec, args) -> Output:
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
         else:
             write_json(path, result.payload)
         if getattr(args, "svg", False):
-            svgplot.write_svg(os.path.splitext(path)[0] + ".svg", result.figure())
+            svgplot.write_svg(os.path.splitext(path)[0] + ".svg", result.figure)
         print(path)
         for text in result.warnings:
             print(f"warning: {text}", file=sys.stderr)

@@ -26,7 +26,7 @@ dim = 2L sets L: the residual and the Hermitian gate are O(nnz).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,12 +34,10 @@ from .errors import (ConfigError, DimMismatch, MalformedOperator, NonPositiveSiz
                      PbcPeriodMismatch)
 from .model import Bonds
 
-PAULI = {
-    "sx": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "sy": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "sz": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    "id": np.eye(2, dtype=complex),
-}
+# Internal factors as signed component maps: row a of the 2x2 matrix has its
+# one nonzero in column comp[a], equal to entry[a].
+INTERNAL = {"sx": ((1, 0), (1, 1)), "sy": ((1, 0), (-1j, 1j)),
+            "sz": ((0, 1), (1, -1)), "id": ((0, 1), (1, 1))}
 
 DEFAULT_TOL = 1e-10
 
@@ -58,13 +56,13 @@ class SymmetryOp:
     `signed_permutation(L)` returns its index map and coefficients.
     """
 
-    internal_label: str
-    spatial_signed: bool
+    internal: str
+    staggered: bool
     center: int | None = None  # None: open-chain mirror n -> L+1-n
 
     def __post_init__(self) -> None:
-        if self.internal_label not in PAULI:
-            raise MalformedOperator(f"unknown internal factor {self.internal_label!r}")
+        if self.internal not in INTERNAL:
+            raise MalformedOperator(f"unknown internal factor {self.internal!r}")
 
     def signed_permutation(self, L: int) -> tuple[np.ndarray, np.ndarray]:
         """(sigma, coeff) with S[k, sigma[k]] = coeff[k] and zeros elsewhere,
@@ -80,13 +78,12 @@ class SymmetryOp:
             raise NonPositiveSize(f"reflection needs L >= 2, got {L}")
         if self.center is not None and L % 6 != 0:
             raise PbcPeriodMismatch(f"ring candidates need L divisible by 6, got {L}")
-        P = PAULI[self.internal_label]
-        comp = np.abs(P).argmax(axis=1)
+        comp, entry = INTERNAL[self.internal]
         i = np.arange(L)
         site = L - 1 - i if self.center is None else (self.center - i) % L
-        sign = (-1.0) ** (i + 1) if self.spatial_signed else np.ones(L)
-        sigma = (comp[:, None] * L + site).ravel()
-        coeff = (P[[0, 1], comp][:, None] * sign).ravel()
+        sign = (-1.0) ** (i + 1) if self.staggered else np.ones(L)
+        sigma = (np.array(comp)[:, None] * L + site).ravel()
+        coeff = (np.array(entry, dtype=complex)[:, None] * sign).ravel()
         return sigma, coeff
 
 
@@ -98,14 +95,8 @@ class Verdict:
     components: list[list[int]] | None = None
 
     def to_dict(self) -> dict:
-        cand = None
-        if self.candidate is not None:
-            cand = {
-                "internal": self.candidate.internal_label,
-                "staggered": self.candidate.spatial_signed,
-            }
-            if self.candidate.center is not None:
-                cand["center"] = self.candidate.center
+        cand = None if self.candidate is None else {
+            key: value for key, value in asdict(self.candidate).items() if value is not None}
         return {
             "kind": self.kind,
             "residual": self.commutator_residual,
@@ -152,7 +143,7 @@ def _difference_norm(n: int, a: tuple, b: tuple) -> float:
 
 
 def commutator_residual(H: Bonds, S: SymmetryOp) -> float:
-    """|| HS - SH ||_F / max(||H||_F, floor); 0 means exact commutation.
+    """|| HS - SH ||_F / ||H||_F, and 0 for an empty H; 0 means exact commutation.
 
     S acts on L = H.dim / 2 sites; an odd H.dim raises DimMismatch.
     Bond (r, c, v) of H gives v coeff[c] at (r, sigma[c]) in HS and
@@ -165,7 +156,8 @@ def commutator_residual(H: Bonds, S: SymmetryOp) -> float:
     r, c, v = H.rows, H.cols, H.vals
     num = _difference_norm(H.dim, (r, sigma[c], v * coeff[c]),
                            (sigma[r], c, coeff[sigma[r]] * v))
-    return num / max(scaled_norm(v), 1e-300)
+    norm = scaled_norm(v)
+    return num / norm if norm else 0.0
 
 
 def connected_components(n: int, i, j) -> list[np.ndarray]:
@@ -199,7 +191,7 @@ def is_reducible(H: Bonds) -> tuple[bool, list[list[int]]]:
     H[j, i] is nonzero (threshold 1e-14 relative to the largest entry)
     and returns whether it is disconnected, plus the components.
     """
-    nz = np.abs(H.vals) > 1e-14 * max(np.abs(H.vals).max(initial=0.0), 1e-300)
+    nz = np.abs(H.vals) > 1e-14 * np.abs(H.vals).max(initial=0.0)
     components = [c.tolist() for c in connected_components(H.dim, H.rows[nz], H.cols[nz])]
     return len(components) > 1, components
 

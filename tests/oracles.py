@@ -294,8 +294,8 @@ PAULI_MATRICES = {"sx": np.array([[0, 1], [1, 0]], dtype=complex),
 
 def symmetry_matrix(S, L: int) -> np.ndarray:
     """Dense 2L x 2L form kron(internal factor, build_reflection(...)) of a SymmetryOp."""
-    return np.kron(PAULI_MATRICES[S.internal_label],
-                   build_reflection(L, S.spatial_signed, S.center))
+    return np.kron(PAULI_MATRICES[S.internal],
+                   build_reflection(L, S.staggered, S.center))
 
 
 def is_reducible_dense(H: np.ndarray) -> tuple[bool, list[list[int]]]:

@@ -262,7 +262,10 @@ def test_symmetry_command_hermitian_chain(config_path, tmp_path):
 @pytest.mark.parametrize("gamma, delta", [(1.5, 0.5), (1.2, 0.3), (1.7, 0.65)])
 def test_symmetry_on_a_ring_tests_the_ring_centers(config_path, tmp_path, gamma, delta):
     # at every theta = k pi/3 one ring center commutes; symmetry on a ring
-    # whose length is a multiple of 6 agrees with sweep-theta's ring
+    # whose length is a multiple of 6 agrees with sweep-theta's ring.  The
+    # open-chain mirror n -> L-1-n, tested first, is the ring reflection
+    # about center L-1 = 5 mod 6, which commutes at k = 2 and 5 and prints
+    # no center; at every other k the verdict names a ring center
     cfg = config_path(gamma=gamma, delta=delta, V=2.0, L=12)
     assert main(["sweep-theta", "--config", cfg, "--steps", "6",
                  "--out", str(tmp_path / "sweep")]) == 0
@@ -272,7 +275,15 @@ def test_symmetry_on_a_ring_tests_the_ring_centers(config_path, tmp_path, gamma,
             out = tmp_path / f"ring{L}-{step}"
             assert main(["symmetry", "--config", cfg, "--boundary", "pbc", "--L", str(L),
                          "--theta", theta, "--out", str(out)]) == 0
-            assert json.loads((out / "verdict.json").read_text())["kind"] == kind
+            verdict = json.loads((out / "verdict.json").read_text())
+            assert verdict["kind"] == kind
+            cand = verdict["candidate"]
+            assert cand.pop("internal") == "sy" and cand.pop("staggered") is True
+            if int(step) % 3 == 2:
+                assert cand == {}
+            else:
+                assert list(cand) == ["center"] and cand["center"] in range(6)
+                assert type(cand["center"]) is int
 
 
 def test_gbz_command(config_path, tmp_path):

@@ -16,15 +16,17 @@ process that only builds H and calls `np.linalg.eig`.  The cases pin:
   time, not the previous orbit's through the next solve.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import CLI, child_env  # noqa: E402
+
 # the symmetry-broken chain of the spectra tests; sweep-theta sets its own theta
 CHAIN = {"t": 1.0, "gamma": 1.5, "delta": 0.5, "V": 2.0, "theta": 0.3}
 
@@ -40,11 +42,9 @@ LAUNCH = ("import os, subprocess, sys; "
 
 
 def _peak_mib(code: str, *args: str, cwd: Path) -> float:
-    env = {**os.environ, **THREAD_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", LAUNCH, sys.executable, "-c", code, *args],
-                          cwd=cwd, env=env, stdin=subprocess.DEVNULL, capture_output=True,
-                          text=True, check=True)
+                          cwd=cwd, env=child_env(ROOT), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, check=True)
     exit_code, kib = proc.stdout.split()
     assert exit_code == "0", code
     return int(kib) / 1024.0  # KiB on Linux
@@ -58,8 +58,7 @@ def _peak_mib(code: str, *args: str, cwd: Path) -> float:
 ], ids=["spectrum-192", "spectrum-384", "sweep-theta-384"])
 def test_peak_within_one_float_array_of_eig(tmp_path, command, L, flags):
     model = [f"--{key}={value}" for key, value in CHAIN.items()]
-    peak = _peak_mib("import sys; from nhskin.cli import main; sys.exit(main())",
-                     command, *model, f"--L={L}", *flags, f"--out={tmp_path}", cwd=tmp_path)
+    peak = _peak_mib(CLI, command, *model, f"--L={L}", *flags, f"--out={tmp_path}", cwd=tmp_path)
     eig = _peak_mib(
         "import numpy as np; from nhskin import ModelSpec, build_bdg; "
         f"np.linalg.eig(build_bdg(ModelSpec.from_dict({CHAIN!r} | {{'L': {L}}})))",
