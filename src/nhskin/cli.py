@@ -13,8 +13,8 @@ Output is deterministic: identical configuration gives byte-identical
 files.  spectrum prints the states in (Re E, Im E) order; a row's index
 is the state index that profiles selects and prints, and profiles
 refuses a selection that names no state (edge:all included).  symmetry
-tests the 8 open-chain candidates, and on a ring whose length is a
-multiple of 6 then the 6 ring centers of `ring_candidates`.  sweep-theta
+tests the 8 open-chain candidates, on a ring whose length is a multiple
+of 6 each about the 6 ring centers of `ring_candidates`.  sweep-theta
 tests the symmetry on a RING_SITES-site ring and the skin effect on the
 open chain of length L, one eigensolve per orbit of `model.theta_orbits`.
 sweep-theta and boundary solve open chains only and refuse boundary pbc;
@@ -204,10 +204,9 @@ def cmd_profiles(spec: ModelSpec, args) -> Output:
 
 
 def cmd_symmetry(spec: ModelSpec, args) -> Output:
-    candidates = default_candidates()
-    if spec.boundary == PBC and spec.num_sites % 6 == 0:
-        candidates += ring_candidates()
-    verdict = theorem_verdict(bonds(spec), candidates, args.tol)
+    ring = spec.boundary == PBC and spec.num_sites % 6 == 0
+    verdict = theorem_verdict(bonds(spec), (ring_candidates if ring else default_candidates)(),
+                              args.tol)
     return Output("verdict.json", payload=verdict.to_dict())
 
 
@@ -265,7 +264,7 @@ def cmd_sweep_theta(spec: ModelSpec, args) -> Output:
         if key not in tested:
             H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=RING_SITES))
             verdict = theorem_verdict(H_ring, candidates, args.tol)
-            residual = verdict.commutator_residual
+            residual = verdict.residual
             if residual is None:
                 residual = min(commutator_residual(H_ring, c) for c in candidates)
             tested[key] = (residual, verdict.kind)

@@ -77,7 +77,7 @@ def leading_coeff(t: float, gamma: float, delta: float) -> float:
     """a = delta^2 - t^2 + gamma^2/4 of unit-scale couplings, refused where
     it vanishes (relative to them) and the quartic keeps two roots."""
     a = delta ** 2 - t ** 2 + gamma ** 2 / 4.0
-    if abs(a) <= 1e-14 * max(delta ** 2, t ** 2, gamma ** 2 / 4.0, 1e-300):
+    if abs(a) <= 1e-14 * max(delta ** 2, t ** 2, gamma ** 2 / 4.0):
         raise DegenerateLeadingCoeff(
             "on the line delta^2 - t^2 + gamma^2/4 = 0 the quartic has two roots, not four")
     return a

@@ -90,19 +90,15 @@ class SymmetryOp:
 @dataclass
 class Verdict:
     kind: str
-    commutator_residual: float | None = None
+    residual: float | None = None
     candidate: SymmetryOp | None = None
     components: list[list[int]] | None = None
 
     def to_dict(self) -> dict:
-        cand = None if self.candidate is None else {
-            key: value for key, value in asdict(self.candidate).items() if value is not None}
-        return {
-            "kind": self.kind,
-            "residual": self.commutator_residual,
-            "candidate": cand,
-            "components": self.components,
-        }
+        out = asdict(self)
+        if self.candidate is not None and self.candidate.center is None:
+            del out["candidate"]["center"]
+        return out
 
 
 def default_candidates() -> list[SymmetryOp]:
@@ -111,14 +107,16 @@ def default_candidates() -> list[SymmetryOp]:
 
 
 def ring_candidates() -> list[SymmetryOp]:
-    """Staggered sy reflections about the 6 inequivalent centers of a ring.
+    """The 8 open-chain candidates about each of the 6 inequivalent centers
+    of a ring, staggered sy first; the mirror n -> L-1-n is center L-1.
 
     The sign pattern has period 2 and the potential period 3, so centers
     repeat modulo 6; the ring length must be a multiple of 6 for every
     candidate to be a consistent lattice map (checked by
     `SymmetryOp.signed_permutation`).
     """
-    return [SymmetryOp("sy", True, center=c) for c in range(6)]
+    return [SymmetryOp(op.internal, op.staggered, c) for op in default_candidates()
+            for c in range(6)]
 
 
 def scaled_norm(x) -> float:
@@ -219,8 +217,8 @@ def theorem_verdict(H: Bonds, candidates: list[SymmetryOp],
     for cand in candidates:
         residuals.append(commutator_residual(H, cand))
         if residuals[-1] <= tol:
-            return Verdict(kind=KIND_BLOCKED, commutator_residual=residuals[-1], candidate=cand)
+            return Verdict(kind=KIND_BLOCKED, residual=residuals[-1], candidate=cand)
     if not candidates:
         return Verdict(kind=KIND_NO_CANDIDATES)
     k = int(np.argmin(residuals))  # the first of equal minima
-    return Verdict(kind=KIND_EXPECTED, commutator_residual=residuals[k], candidate=candidates[k])
+    return Verdict(kind=KIND_EXPECTED, residual=residuals[k], candidate=candidates[k])

@@ -351,7 +351,7 @@ def sweep_theta_loop(spec, args, ring_sites: int):
         report = skin_metrics(es, args.tau_skin, args.edge_sites, args.w_edge)
         H_ring = bonds(spec.replace(theta=theta, boundary=PBC, L=ring_sites))
         verdict = theorem_verdict(H_ring, candidates, args.tol)
-        residual = verdict.commutator_residual
+        residual = verdict.residual
         if residual is None:
             residual = min(commutator_residual(H_ring, c) for c in candidates)
         rows.append((s, theta, residual, verdict.kind, report.skew,

@@ -261,11 +261,9 @@ def test_symmetry_command_hermitian_chain(config_path, tmp_path):
 
 @pytest.mark.parametrize("gamma, delta", [(1.5, 0.5), (1.2, 0.3), (1.7, 0.65)])
 def test_symmetry_on_a_ring_tests_the_ring_centers(config_path, tmp_path, gamma, delta):
-    # at every theta = k pi/3 one ring center commutes; symmetry on a ring
-    # whose length is a multiple of 6 agrees with sweep-theta's ring.  The
-    # open-chain mirror n -> L-1-n, tested first, is the ring reflection
-    # about center L-1 = 5 mod 6, which commutes at k = 2 and 5 and prints
-    # no center; at every other k the verdict names a ring center
+    # at every theta = k pi/3 one staggered sy ring center commutes; symmetry
+    # on a ring whose length is a multiple of 6 agrees with sweep-theta's
+    # ring, and names the center
     cfg = config_path(gamma=gamma, delta=delta, V=2.0, L=12)
     assert main(["sweep-theta", "--config", cfg, "--steps", "6",
                  "--out", str(tmp_path / "sweep")]) == 0
@@ -279,11 +277,36 @@ def test_symmetry_on_a_ring_tests_the_ring_centers(config_path, tmp_path, gamma,
             assert verdict["kind"] == kind
             cand = verdict["candidate"]
             assert cand.pop("internal") == "sy" and cand.pop("staggered") is True
-            if int(step) % 3 == 2:
-                assert cand == {}
-            else:
-                assert list(cand) == ["center"] and cand["center"] in range(6)
-                assert type(cand["center"]) is int
+            assert list(cand) == ["center"] and cand["center"] in range(6)
+            assert type(cand["center"]) is int
+
+
+# t = 0 leaves hopping -+gamma/2 and pairing delta: a ring reflection
+# commutes at every theta = k pi/6, staggered sy on even k and the
+# staggered identity on odd k, and ED finds no skin at any of them
+T0_CHAIN = {"t": 0.0, "gamma": 1.0, "delta": 1.6, "V": 1.0}
+
+
+def test_symmetry_on_a_ring_tests_every_candidate_at_every_center(config_path, tmp_path):
+    cfg = config_path(**T0_CHAIN)
+    for k in range(12):
+        out = tmp_path / f"ring-{k}"
+        assert main(["symmetry", "--config", cfg, "--boundary", "pbc", "--L", "12",
+                     "--theta", repr(k * np.pi / 6.0), "--out", str(out)]) == 0
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["kind"] == "nhse_blocked", k
+        center = verdict["candidate"]["center"]
+        assert type(center) is int and center in range(6)
+
+
+def test_sweep_blocks_skin_where_a_ring_commutes(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep-theta", "--config", config_path(**T0_CHAIN, L=48), "--steps", "12",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(str(out / "sweep.csv"))
+    assert len(rows) == 12
+    for r in rows:
+        assert r[3] == "nhse_blocked" and r[6] == "false", r
 
 
 def test_gbz_command(config_path, tmp_path):
@@ -373,7 +396,8 @@ def test_sweep_without_potential_always_symmetric(config_path, tmp_path):
 
 def test_sweep_hermitian_chain_never_expects_skin(config_path, tmp_path):
     # every step is Hermitian; the residual column still carries the best
-    # ring candidate's residual, which vanishes only at theta = k pi/3
+    # ring candidate's residual, which vanishes at every step: staggered sy
+    # commutes on even steps and unstaggered sz on odd ones
     out = str(tmp_path / "out")
     rc = main(["sweep-theta", "--config", config_path(gamma=0.0, V=2.0, L=48),
                "--out", out, "--steps", "12"])
@@ -382,10 +406,7 @@ def test_sweep_hermitian_chain_never_expects_skin(config_path, tmp_path):
     assert len(rows) == 12
     for r in rows:
         assert r[3] == "hermitian_no_skin" and r[6] == "false"
-        if int(r[0]) % 2 == 0:
-            assert float(r[2]) <= 1e-10
-        else:
-            assert float(r[2]) > 1e-3
+        assert float(r[2]) <= 1e-10
 
 
 @pytest.mark.parametrize("flags", [["--L", "2"], ["--L", "6"], ["--L", "10"],
@@ -547,7 +568,8 @@ def test_sweep_tests_one_ring_per_theta_class(monkeypatch, steps, classes):
     rng = np.random.default_rng(steps)
     points = [{"t": rng.uniform(0.5, 1.5), "gamma": rng.uniform(-2.0, 2.0),
                "delta": rng.uniform(-1.0, 1.0), "V": rng.uniform(-3.0, 3.0)} for _ in range(10)]
-    points += [{"gamma": 0.0, "delta": 0.5, "V": 2.0}, {"gamma": 1.5, "delta": 0.0, "V": 2.0}]
+    points += [{"gamma": 0.0, "delta": 0.5, "V": 2.0}, {"gamma": 1.5, "delta": 0.0, "V": 2.0},
+               {"t": 0.0, "gamma": 1.0, "delta": 1.6, "V": 1.0}]
     verdicts = []
     theorem_verdict = cli.theorem_verdict
     monkeypatch.setattr(cli, "theorem_verdict",

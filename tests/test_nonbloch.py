@@ -189,11 +189,12 @@ def test_reciprocal_limit_roots_on_unit_circle():
 
 def test_degenerate_leading_coefficient_flagged():
     # on delta^2 - t^2 + gamma^2/4 = 0 the quartic keeps two roots only,
-    # at every energy
-    spec = ModelSpec(t=1.0, gamma=1.0, delta=np.sqrt(0.75), num_sites=10)
-    for E in (1.0 + 0.5j, 0.0):
-        with pytest.raises(DegenerateLeadingCoeff, match="two roots, not four"):
-            solve_beta(spec, E)
+    # at every energy; with t, gamma and delta all 0 it has none
+    for t, gamma, delta in [(1.0, 1.0, np.sqrt(0.75)), (0.0, 0.0, 0.0)]:
+        spec = ModelSpec(t=t, gamma=gamma, delta=delta, num_sites=10)
+        for E in (1.0 + 0.5j, 0.0):
+            with pytest.raises(DegenerateLeadingCoeff, match="two roots, not four"):
+                solve_beta(spec, E)
 
 
 @pytest.mark.parametrize("off", [1e-6, 7e-11, 1e-12, 1e-13])

@@ -9,6 +9,7 @@ from nhskin import (
     OBC,
     PBC,
     bonds,
+    cli,
     commutator_residual,
     default_candidates,
     is_reducible,
@@ -232,7 +233,7 @@ def test_verdict_reference_chain():
     v = theorem_verdict(H, default_candidates())
     assert v.kind == KIND_BLOCKED
     assert v.candidate.internal == "sy" and v.candidate.staggered
-    assert v.commutator_residual <= 1e-12
+    assert v.residual <= 1e-12
 
 
 def test_verdict_third_pi_potential_still_blocked():
@@ -246,7 +247,7 @@ def test_verdict_quarter_pi_potential_expected():
     H = bonds(REFERENCE.replace(V=2.0, theta=np.pi / 4))
     v = theorem_verdict(H, default_candidates())
     assert v.kind == KIND_EXPECTED
-    assert v.commutator_residual > 1e-3
+    assert v.residual > 1e-3
 
 
 def test_verdict_gates_on_reducibility():
@@ -294,10 +295,9 @@ def test_verdict_is_scale_free(exponent, gamma, theta, kind):
         assert scaled.to_dict() == unit.to_dict()
         return
     assert (scaled.kind, scaled.candidate) == (unit.kind, unit.candidate)
-    if exponent == -1035 and unit.commutator_residual is not None:
+    if exponent == -1035 and unit.residual is not None:
         # abs: a blocked chain's residual is rounding, 8e-16 at unit scale and 0 here
-        assert scaled.commutator_residual == pytest.approx(unit.commutator_residual,
-                                                           rel=1e-9, abs=1e-12)
+        assert scaled.residual == pytest.approx(unit.residual, rel=1e-9, abs=1e-12)
 
 
 def test_verdict_deterministic_and_order_respecting():
@@ -355,23 +355,24 @@ def test_verdict_never_blocked_for_reducible():
 
 
 @settings(max_examples=40)
-@given(L=st.sampled_from([6, 12, 18]),
-       gamma=st.floats(-3.0, 3.0), delta=st.floats(-1.5, 1.5),
+@given(L=st.sampled_from([6, 12, 18]), t=st.just(0.0) | st.floats(0.1, 2.0),
+       gamma=st.floats(-3.0, 3.0), delta=st.floats(-1.5, 1.5), V=st.sampled_from([1.0, 2.0]),
        theta=st.floats(0.0, 2.0 * np.pi))
-def test_verdict_invariant_under_ring_translation(L, gamma, delta, theta):
+@example(L=12, t=0.0, gamma=1.0, delta=1.6, V=1.0, theta=np.pi / 6.0)
+def test_verdict_invariant_under_ring_translation(L, t, gamma, delta, V, theta):
     # a one-site translation of the ring maps theta to theta + 2 pi/3 and
-    # permutes the six reflection centers, so the verdict cannot change
-    spec = ModelSpec(t=1.0, gamma=gamma, delta=delta, big_v=2.0, theta=theta,
-                     num_sites=L, boundary=PBC)
-    cands = ring_candidates()
-    v1 = theorem_verdict(bonds(spec), cands)
-    v2 = theorem_verdict(bonds(spec.replace(theta=theta + 2.0 * np.pi / 3.0)), cands)
-    assert v1.kind == v2.kind
-    if v1.kind == KIND_EXPECTED:
+    # permutes the six reflection centers of every candidate, so the
+    # verdict `symmetry` prints cannot change
+    args = cli.build_parser().parse_args(["symmetry"])
+    spec = ModelSpec(t=t, gamma=gamma, delta=delta, big_v=V, theta=theta, num_sites=L,
+                     boundary=PBC)
+    v1 = cli.cmd_symmetry(spec, args).payload
+    v2 = cli.cmd_symmetry(spec.replace(theta=theta + 2.0 * np.pi / 3.0), args).payload
+    assert v1["kind"] == v2["kind"]
+    if v1["kind"] == KIND_EXPECTED:
         # theta + 2 pi/3 is rounded to a double, which moves the residual
         # by ~1e-15 absolute: relative agreement needs an absolute floor
-        assert math.isclose(v1.commutator_residual, v2.commutator_residual,
-                            rel_tol=1e-12, abs_tol=1e-13)
+        assert math.isclose(v1["residual"], v2["residual"], rel_tol=1e-12, abs_tol=1e-13)
 
 
 @settings(max_examples=100)
